@@ -3,30 +3,21 @@
 A coverage certificate records, for every grid target of a compact box,
 a preimage witness and the residual it achieves under forward evaluation;
 the certificate is sound exactly when every residual can be reproduced by
-evaluate alone. Independence reports give the numerical rank of a finite
-family's evaluation matrix under pivoted elimination.
+forward evaluation alone. Independence reports give the numerical rank of
+a finite family's evaluation matrix under pivoted elimination.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateMemberError, DomainError, RefinementError
+from .errors import DegenerateMemberError, DomainError, StructuralError
 from .spans import ScalarSpan, VectorSpanMember, scalar_solve
-from .surjections import (
-    FunctionExpr,
-    PhiCompose,
-    compose_with_base,
-    evaluate_at,
-    evaluate_to_precision,
-    member_as_expr,
-    preimage,
-)
+from .surjections import FunctionExpr, PhiCompose, _refine, compose_with_base, evaluate_at
 
 DEFAULT_TARGET_BUDGET = 100_000
 DEFAULT_RANK_TOL = 1e-8
@@ -107,17 +98,6 @@ def detect_degenerate(v: VectorSpanMember) -> Optional[int]:
     return None
 
 
-def _as_pipeline(f: Certifiable) -> tuple[Optional[VectorSpanMember], Optional[FunctionExpr]]:
-    """Split into (pure member, None) or (None, expression)."""
-    if isinstance(f, VectorSpanMember):
-        if f.base is None:
-            return f, None
-        return None, member_as_expr(f)
-    if isinstance(f, FunctionExpr):
-        return None, f
-    raise DomainError(f"cannot certify an object of type {type(f).__name__}")
-
-
 def _reject_degenerate(f: Certifiable) -> None:
     member = None
     if isinstance(f, VectorSpanMember):
@@ -125,8 +105,6 @@ def _reject_degenerate(f: Certifiable) -> None:
     elif isinstance(f, PhiCompose):
         member = f.member
     if member is not None:
-        if member.is_zero:
-            raise DegenerateMemberError(0)
         bad = detect_degenerate(member)
         if bad is not None:
             raise DegenerateMemberError(bad)
@@ -143,8 +121,11 @@ def certify_surjective_on_box(
     Degenerate span members are rejected outright (they are not
     surjective, so a failed certificate would be misleading). Witnesses
     are stored even on failure so that each can be re-checked by forward
-    evaluation alone.
+    evaluation alone. Each witness's residual is the one the preimage
+    search measured when it accepted (or gave up on) that witness.
     """
+    if not isinstance(f, (VectorSpanMember, FunctionExpr)):
+        raise DomainError(f"cannot certify an object of type {type(f).__name__}")
     if eps <= 0:
         raise DomainError("tolerance must be positive")
     if box.target_count > target_budget:
@@ -153,32 +134,26 @@ def certify_surjective_on_box(
             f"raise target_budget to override"
         )
     _reject_degenerate(f)
-    member, expr = _as_pipeline(f)
-    function_id = member.describe() if member is not None else expr.describe()
+    spans = f.components() if isinstance(f, VectorSpanMember) else None
+    codomain = f.arity if spans is not None else f.codomain_arity
+    if box.arity != codomain:
+        raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")
 
     witnesses = []
     for target in box.targets():
-        if member is not None:
-            point = tuple(
-                scalar_solve(span, y, eps / 2.0)
-                for span, y in zip(member.components(), target)
-            )
-            values = member.value_at(point)
-            achieved = max(abs(v - y) for v, y in zip(values, target))
+        if spans is not None:
+            point = tuple(scalar_solve(span, y, eps / 2.0) for span, y in zip(spans, target))
+            achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
         else:
-            try:
-                point = preimage(expr, target, eps)
-                result = evaluate_to_precision(expr, point, eps / 8.0)
-                achieved = max(abs(v - y) for v, y in zip(result.value, target))
-            except RefinementError as err:
-                point = err.best_witness if err.best_witness is not None else ()
-                achieved = err.achieved if err.achieved is not None else math.inf
+            point, achieved = _refine(f, target, eps)
+            if point is None:
+                point = ()
         witnesses.append(Witness(target, point, achieved))
 
     worst = max(witnesses, key=lambda w: w.achieved_error)
     certified = worst.achieved_error <= eps
     return CoverageCertificate(
-        function_id=function_id,
+        function_id=f.describe(),
         box=box,
         epsilon=eps,
         witnesses=tuple(witnesses),
@@ -207,9 +182,7 @@ def _family_eval(f: FamilyFunction, point: tuple[float, ...], depth: int) -> tup
     if isinstance(f, ScalarSpan):
         return (f.value(point[0]),)
     if isinstance(f, VectorSpanMember):
-        if f.base is None:
-            return f.value_at(point)
-        return evaluate_at(member_as_expr(f), point, depth).value
+        return f.value_at(point)
     if isinstance(f, FunctionExpr):
         return evaluate_at(f, point, depth).value
     raise DomainError(f"cannot evaluate an object of type {type(f).__name__}")
@@ -314,9 +287,9 @@ def composition_preserves_rank(
     """
     pts = [tuple(float(x) for x in p) for p in points]
     images = [evaluate_at(f, p, depth).value for p in pts]
-    composed_family = [compose_with_base(m.without_base(), f) for m in family]
+    composed_family = [compose_with_base(m, f) for m in family]
     composed = independence_report(composed_family, pts, tol, depth)
-    direct = independence_report([m.without_base() for m in family], images, tol, depth)
+    direct = independence_report(list(family), images, tol, depth)
     return CompositionRankReport(composed=composed, direct=direct)
 
 

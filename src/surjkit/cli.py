@@ -10,15 +10,17 @@ Exit codes: 0 success; 1 certificate not certified or rank deficient;
 2 validation failure; 3 resource cap; 4 degenerate family member.
 
 The spec file is JSON with sections `base`, `family`, `certify`, `output`;
-reals are decimal strings; unknown keys are rejected. It describes exactly
-one pipeline: a factory constructor chain, optionally followed by a span
-member built from diagonal basis coefficients or explicit terms.
+reals are finite decimal strings, counts are JSON integers; unknown keys
+are rejected. It describes exactly one pipeline: a factory constructor
+chain, optionally followed by a span member built from diagonal basis
+coefficients or explicit terms.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -47,8 +49,7 @@ from .spans import VectorSpanMember, combine_members, make_diagonal_family
 from .surjections import (
     FunctionExpr,
     compose_with_base,
-    evaluate,
-    EvalRequest,
+    evaluate_at,
     extend_to_line,
     lift_dimension,
     project_lift,
@@ -103,7 +104,6 @@ class SpecFile:
     base_lifts: int
     base_project_to: int
     family_members: tuple[VectorSpanMember, ...]
-    family_coefficients: tuple[float, ...]
     member: Optional[VectorSpanMember]
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
@@ -134,10 +134,27 @@ def _check_keys(section: dict, allowed: set, required: set, where: str) -> None:
 
 
 def _real(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SpecError(f"expected a decimal string in '{where}', got {value!r}") from None
+    x = math.nan  # a bool or an unparsable value is rejected with inf and nan
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not math.isfinite(x):
+        raise SpecError(f"expected a finite decimal string in '{where}', got {value!r}")
+    return x
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"expected an integer in '{where}', got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"expected a list in '{where}', got {value!r}")
+    return value
 
 
 def parse_spec_data(data: dict) -> SpecFile:
@@ -147,14 +164,13 @@ def parse_spec_data(data: dict) -> SpecFile:
     _check_keys(base, {"construct", "lifts", "project_to"}, {"construct"}, "base")
     if base["construct"] != "extend_to_line":
         raise SpecError(f"unknown base construct {base['construct']!r}")
-    lifts = int(base.get("lifts", 0))
-    project_to = int(base.get("project_to", 1))
+    lifts = _integer(base.get("lifts", 0), "base.lifts")
+    project_to = _integer(base.get("project_to", 1), "base.project_to")
     if lifts < 0:
         raise SpecError("base.lifts must be non-negative")
     codomain = 2 + lifts
 
     members: tuple[VectorSpanMember, ...] = ()
-    coefficients: tuple[float, ...] = ()
     member: Optional[VectorSpanMember] = None
     if "family" in data:
         family = data["family"]
@@ -165,10 +181,11 @@ def parse_spec_data(data: dict) -> SpecFile:
             if "diagonal_exponents" in family or "coefficients" in family:
                 raise SpecError("family takes either explicit terms or a diagonal basis")
             terms = []
-            for i, entry in enumerate(family["terms"]):
+            for i, entry in enumerate(_list(family["terms"], "family.terms")):
                 _check_keys(entry, {"coefficient", "exponents"}, {"coefficient", "exponents"},
                             f"family.terms[{i}]")
-                exps = tuple(_real(r, "family.terms.exponents") for r in entry["exponents"])
+                where = "family.terms.exponents"
+                exps = tuple(_real(r, where) for r in _list(entry["exponents"], where))
                 if len(exps) != codomain:
                     raise SpecError(
                         f"family.terms[{i}] has {len(exps)} exponents, base produces {codomain}"
@@ -176,9 +193,10 @@ def parse_spec_data(data: dict) -> SpecFile:
                 terms.append((_real(entry["coefficient"], "family.terms.coefficient"), exps))
             member = VectorSpanMember(tuple(terms), codomain)
         elif "diagonal_exponents" in family:
-            exps = [_real(r, "family.diagonal_exponents") for r in family["diagonal_exponents"]]
+            where = "family.diagonal_exponents"
+            exps = [_real(r, where) for r in _list(family["diagonal_exponents"], where)]
             members = tuple(make_diagonal_family(exps, codomain))
-            raw = family.get("coefficients", ["1"] * len(exps))
+            raw = _list(family.get("coefficients", ["1"] * len(exps)), "family.coefficients")
             coefficients = tuple(_real(c, "family.coefficients") for c in raw)
             if len(coefficients) != len(members):
                 raise SpecError("family.coefficients must match diagonal_exponents in length")
@@ -192,8 +210,8 @@ def parse_spec_data(data: dict) -> SpecFile:
         cert = data["certify"]
         _check_keys(cert, {"box", "grid", "epsilon"}, {"box", "grid", "epsilon"}, "certify")
         bounds = []
-        for i, pair in enumerate(cert["box"]):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        for i, pair in enumerate(_list(cert["box"], "certify.box")):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise SpecError(f"certify.box[{i}] must be a [low, high] pair")
             bounds.append((_real(pair[0], "certify.box"), _real(pair[1], "certify.box")))
         if len(bounds) != codomain:
@@ -204,7 +222,7 @@ def parse_spec_data(data: dict) -> SpecFile:
         if epsilon <= 0:
             raise SpecError("certify.epsilon must be positive")
         try:
-            box = BoxSpec(tuple(bounds), int(cert["grid"]))
+            box = BoxSpec(tuple(bounds), _integer(cert["grid"], "certify.grid"))
         except DomainError as err:
             raise SpecError(str(err)) from None
 
@@ -219,7 +237,6 @@ def parse_spec_data(data: dict) -> SpecFile:
         base_lifts=lifts,
         base_project_to=project_to,
         family_members=members,
-        family_coefficients=coefficients,
         member=member,
         certify_box=box,
         certify_epsilon=epsilon,
@@ -299,11 +316,8 @@ def cmd_trace(args) -> int:
 def cmd_eval(args) -> int:
     spec = parse_spec_file(args.spec)
     pipeline = spec.build_pipeline()
-    try:
-        point = tuple(float(v) for v in args.point.split(","))
-    except ValueError:
-        raise SpecError(f"cannot parse point {args.point!r}") from None
-    result = evaluate(pipeline, EvalRequest(point, depth=args.depth))
+    point = tuple(_real(v, "--point") for v in args.point.split(","))
+    result = evaluate_at(pipeline, point, args.depth)
     print(" ".join(format_real(v) for v in result.value))
     print(f"error {format_real(result.error_estimate)}")
     return EXIT_OK

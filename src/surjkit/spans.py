@@ -3,20 +3,18 @@
 The building block is the odd homeomorphism t -> e^(r t) - e^(-r t)
 (= 2 sinh(r t)) for r > 0. Finite linear combinations over distinct
 exponents form ScalarSpan values; n-coordinate stacks of them, indexed by
-exponent vectors, form VectorSpanMember values, optionally pre-composed
-with a base surjection of the plane-filling kind.
+exponent vectors, form VectorSpanMember values. A member applied after a
+base surjection is the expression node built by
+surjections.compose_with_base.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Sequence
 
 from .errors import DomainError, NoSolutionError, ResourceError
-
-if TYPE_CHECKING:  # only for annotations; avoids an import cycle
-    from .surjections import FunctionExpr
 
 BRACKET_CAP = 2.0**60
 
@@ -189,15 +187,14 @@ class VectorSpanMember:
 
     Each term couples a coefficient with an exponent vector in (R+)^n;
     coordinate j of the map applies phi with exponent r_i[j] to input j.
-    An optional base surjection pre-composes the member (the member is
-    then a map on the base's domain).
     """
 
     terms: tuple[tuple[float, tuple[float, ...]], ...]
     arity: int
-    base: Optional["FunctionExpr"] = None
 
     def __post_init__(self):
+        if self.arity < 1:
+            raise DomainError("arity must be at least 1")
         merged: dict[tuple[float, ...], float] = {}
         for lam, rvec in self.terms:
             rvec = tuple(float(r) for r in rvec)
@@ -212,10 +209,6 @@ class VectorSpanMember:
             (lam, rvec) for rvec, lam in sorted(merged.items(), reverse=True) if lam != 0.0
         )
         object.__setattr__(self, "terms", normalized)
-        if self.base is not None and self.base.codomain_arity != self.arity:
-            raise DomainError(
-                f"base produces {self.base.codomain_arity} coordinates, member expects {self.arity}"
-            )
 
     @property
     def is_zero(self) -> bool:
@@ -225,27 +218,17 @@ class VectorSpanMember:
         return component_reduce(self)
 
     def value_at(self, u: Sequence[float]) -> tuple[float, ...]:
-        """Apply the member to a point of R^n (ignores any base)."""
+        """Apply the member to a point of R^n."""
         if len(u) != self.arity:
             raise DomainError(f"point has arity {len(u)}, member expects {self.arity}")
         return tuple(span.value(float(x)) for span, x in zip(self.components(), u))
 
-    def with_base(self, base: "FunctionExpr") -> "VectorSpanMember":
-        return VectorSpanMember(self.terms, self.arity, base)
-
-    def without_base(self) -> "VectorSpanMember":
-        return VectorSpanMember(self.terms, self.arity, None)
-
     def describe(self) -> str:
         if self.is_zero:
-            body = "0"
-        else:
-            body = " + ".join(
-                f"{lam:g}*Phi[{','.join(f'{r:g}' for r in rvec)}]" for lam, rvec in self.terms
-            )
-        if self.base is not None:
-            return f"({body}) o {self.base.describe()}"
-        return body
+            return "0"
+        return " + ".join(
+            f"{lam:g}*Phi[{','.join(f'{r:g}' for r in rvec)}]" for lam, rvec in self.terms
+        )
 
 
 def component_reduce(v: VectorSpanMember) -> list[ScalarSpan]:
@@ -272,16 +255,15 @@ def make_diagonal_family(exponents: Sequence[float], n: int) -> list[VectorSpanM
 def combine_members(
     coefficients: Sequence[float], members: Sequence[VectorSpanMember]
 ) -> VectorSpanMember:
-    """Linear combination of members sharing one arity (and one base, if any)."""
+    """Linear combination of members sharing one arity."""
     if len(coefficients) != len(members):
         raise DomainError("need one coefficient per member")
     if not members:
         raise DomainError("cannot combine an empty family")
     arity = members[0].arity
-    base = members[0].base
     terms: list[tuple[float, tuple[float, ...]]] = []
     for c, m in zip(coefficients, members):
-        if m.arity != arity or m.base is not base:
-            raise DomainError("members must share arity and base to combine")
+        if m.arity != arity:
+            raise DomainError("members must share arity to combine")
         terms.extend((float(c) * lam, rvec) for lam, rvec in m.terms)
-    return VectorSpanMember(tuple(terms), arity, base)
+    return VectorSpanMember(tuple(terms), arity)

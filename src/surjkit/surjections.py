@@ -10,9 +10,10 @@ lift_dimension   turns an S_{1,n} tree into S_{1,n+1} by expanding the last
                  output coordinate through a fresh line-to-plane map
 project_lift     turns an S_{1,n} tree into S_{m,n} by reading only the
                  first input coordinate
-compose_with_base  applies a vector span member after a base surjection
+compose_with_base  applies a vector span member after a base surjection;
+                   this node is the one form of "member after base"
 
-Evaluation returns the depth-k approximant together with a conservative
+evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
 rational parameter coordinates (floats cannot carry the depth a composed
 curve chain needs).
@@ -21,10 +22,10 @@ curve chain needs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .curve import _d2xy, hilbert_decode
 from .errors import (
@@ -141,18 +142,15 @@ class PeanoLine(FunctionExpr):
 @dataclass(frozen=True)
 class DimLift(FunctionExpr):
     """Expands the last output coordinate of an S_{1,n} tree through a
-    trailing-pair surjection, producing S_{1,n+1}."""
+    fresh line-to-plane map (the trailing pair), producing S_{1,n+1}."""
 
     inner: FunctionExpr
-    pair: PeanoLine
 
     def __post_init__(self):
         if self.inner.domain_arity != 1:
             raise StructuralError("lift requires a domain arity of 1")
         if self.inner.codomain_arity < 2:
             raise StructuralError("lift requires a codomain arity of at least 2")
-        if not isinstance(self.pair, PeanoLine):
-            raise StructuralError("the trailing-pair surjection must be a peano_line")
 
     @property
     def domain_arity(self) -> int:
@@ -164,13 +162,14 @@ class DimLift(FunctionExpr):
 
     def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
         values, est = self.inner._eval(point, depth)
-        pair_values, pair_est = self.pair._eval((values[-1],), depth)
+        pair = PeanoLine()
+        pair_values, pair_est = pair._eval((values[-1],), depth)
         if est > 0.0:
-            pair_est += self.pair._modulus_at(values[-1], est, depth)
+            pair_est += pair._modulus_at(values[-1], est, depth)
         return values[:-1] + pair_values, max(est, pair_est)
 
     def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
-        (s,), pair_depth = self.pair._preimage_with_depth(target[-2:], tol / 6.0, depth_scale)
+        (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], tol / 6.0, depth_scale)
         # keep the inner map within half a parameter interval of the pair's
         # depth so the pair output moves by at most one cell
         inner_tol = tol / 2.0
@@ -223,18 +222,22 @@ class ProjectLift(FunctionExpr):
 
 @dataclass(frozen=True)
 class PhiCompose(FunctionExpr):
-    """A vector span member applied after a base surjection."""
+    """A vector span member applied after a base surjection.
+
+    The member's per-coordinate spans are reduced once, when the node is
+    built, and kept outside equality and hashing.
+    """
 
     member: VectorSpanMember
     inner: FunctionExpr
+    spans: tuple[ScalarSpan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.member.base is not None:
-            raise StructuralError("compose with an unbased member; the tree holds the base")
         if self.member.arity != self.inner.codomain_arity:
             raise StructuralError(
                 f"member arity {self.member.arity} != base codomain {self.inner.codomain_arity}"
             )
+        object.__setattr__(self, "spans", tuple(self.member.components()))
 
     @property
     def domain_arity(self) -> int:
@@ -244,12 +247,9 @@ class PhiCompose(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.member.arity
 
-    def _components(self) -> list[ScalarSpan]:
-        return self.member.components()
-
     def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
         values, est = self.inner._eval(point, depth)
-        spans = self._components()
+        spans = self.spans
         out = tuple(span.value(float(v)) for span, v in zip(spans, values))
         if est == 0.0:
             return out, 0.0
@@ -260,7 +260,7 @@ class PhiCompose(FunctionExpr):
         return out, amplified
 
     def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
-        spans = self._components()
+        spans = self.spans
         for j, span in enumerate(spans):
             if span.is_zero:
                 raise DegenerateMemberError(j)
@@ -298,7 +298,7 @@ def lift_dimension(f: FunctionExpr, max_codomain: int = 6) -> DimLift:
             f"codomain {f.codomain_arity + 1} exceeds cap {max_codomain}; "
             f"raise max_codomain to override"
         )
-    return DimLift(f, PeanoLine())
+    return DimLift(f)
 
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
@@ -314,30 +314,7 @@ def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
 
 def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompose:
     """Span member after base surjection, as an expression node."""
-    return PhiCompose(member.without_base(), base)
-
-
-def member_as_expr(member: VectorSpanMember) -> PhiCompose:
-    """Expression form of a member that carries its own base."""
-    if member.base is None:
-        raise StructuralError("member has no base; use compose_with_base")
-    return PhiCompose(member.without_base(), member.base)
-
-
-@dataclass(frozen=True)
-class EvalRequest:
-    """Point plus the curve depth and target tolerance to evaluate at."""
-
-    point: tuple
-    depth: int = DEFAULT_EVAL_DEPTH
-    precision: float = 1e-9
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", tuple(self.point))
-        if self.depth < 1:
-            raise DomainError("depth must be at least 1")
-        if self.precision <= 0:
-            raise DomainError("precision must be positive")
+    return PhiCompose(member, base)
 
 
 @dataclass(frozen=True)
@@ -349,20 +326,17 @@ class EvalResult:
     error_estimate: float
 
 
-def evaluate(expr: FunctionExpr, req: EvalRequest) -> EvalResult:
-    """Depth-k approximant of the expression at a point."""
-    if len(req.point) != expr.domain_arity:
-        raise StructuralError(
-            f"point arity {len(req.point)} != domain arity {expr.domain_arity}"
-        )
-    if req.depth > EVAL_DEPTH_CAP:
-        raise ResourceError(f"depth {req.depth} exceeds cap {EVAL_DEPTH_CAP}")
-    value, est = expr._eval(req.point, req.depth)
-    return EvalResult(value, est)
-
-
 def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_EVAL_DEPTH) -> EvalResult:
-    return evaluate(expr, EvalRequest(tuple(point), depth))
+    """Depth-k approximant of the expression at a point."""
+    if depth < 1:
+        raise DomainError("depth must be at least 1")
+    point = tuple(point)
+    if len(point) != expr.domain_arity:
+        raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
+    if depth > EVAL_DEPTH_CAP:
+        raise ResourceError(f"depth {depth} exceeds cap {EVAL_DEPTH_CAP}")
+    value, est = expr._eval(point, depth)
+    return EvalResult(value, est)
 
 
 def evaluate_to_precision(
@@ -381,8 +355,31 @@ def evaluate_to_precision(
     raise ResourceError(f"could not reach precision {precision} within the depth cap")
 
 
+def _refine(
+    expr: FunctionExpr, target: tuple[float, ...], eps: float
+) -> tuple[Optional[tuple], float]:
+    """(best witness, its forward residual) of the analytic chain's search.
+
+    Stops at the first witness whose residual is within eps; otherwise
+    doubles every curve depth, REFINEMENT_DOUBLINGS times, and returns the
+    best witness seen (None if no residual was finite).
+    """
+    best_witness, best_res = None, math.inf
+    scale = 1
+    for _ in range(REFINEMENT_DOUBLINGS + 1):
+        witness = expr._preimage(target, eps / 2.0, scale)
+        result = evaluate_to_precision(expr, witness, eps / 8.0)
+        res = max(abs(v - y) for v, y in zip(result.value, target))
+        if res <= eps:
+            return witness, res
+        if res < best_res:
+            best_witness, best_res = witness, res
+        scale *= 2
+    return best_witness, best_res
+
+
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
-    """A point x with |evaluate(expr, x) - target|_inf <= eps.
+    """A point x with |evaluate_at(expr, x) - target|_inf <= eps.
 
     The analytic chain inverts each node; a forward check then validates
     the witness, doubling every curve depth on failure (four retries).
@@ -396,21 +393,13 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"
         )
-    best_witness, best_res = None, math.inf
-    scale = 1
-    for _ in range(REFINEMENT_DOUBLINGS + 1):
-        witness = expr._preimage(target, eps / 2.0, scale)
-        result = evaluate_to_precision(expr, witness, eps / 8.0)
-        res = max(abs(v - y) for v, y in zip(result.value, target))
-        if res <= eps:
-            return witness
-        if res < best_res:
-            best_witness, best_res = witness, res
-        scale *= 2
+    witness, res = _refine(expr, target, eps)
+    if res <= eps:
+        return witness
     raise RefinementError(
-        f"residual {best_res:.3g} > eps {eps:.3g} after {REFINEMENT_DOUBLINGS} depth doublings",
-        best_witness=best_witness,
-        achieved=best_res,
+        f"residual {res:.3g} > eps {eps:.3g} after {REFINEMENT_DOUBLINGS} depth doublings",
+        best_witness=witness,
+        achieved=res,
     )
 
 
@@ -464,7 +453,7 @@ def expr_from_dict(data: dict) -> FunctionExpr:
         expr: FunctionExpr = PeanoLine()
     elif kind == "dim_lift":
         _require_keys(payload, {"inner"}, "dim_lift node")
-        expr = DimLift(expr_from_dict(payload["inner"]), PeanoLine())
+        expr = DimLift(expr_from_dict(payload["inner"]))
     elif kind == "project_lift":
         _require_keys(payload, {"arity", "inner"}, "project_lift node")
         expr = ProjectLift(expr_from_dict(payload["inner"]), int(payload["arity"]))

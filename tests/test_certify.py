@@ -1,9 +1,11 @@
 """Coverage certificates, degeneracy detection, and independence ranks."""
 
 import random
+import sys
 
 import pytest
 
+import surjkit.surjections
 from surjkit import (
     BoxSpec,
     DegenerateMemberError,
@@ -98,6 +100,24 @@ class TestCoverage:
             value = evaluate_to_precision(pipe, w.preimage, eps / 16).value
             redone = max(abs(v - y) for v, y in zip(value, w.target))
             assert redone <= max(2 * w.achieved_error, 2 * eps)
+
+    def test_one_forward_check_per_target(self, monkeypatch):
+        calls = []
+        check = surjkit.surjections.evaluate_to_precision
+
+        def counting_check(expr, point, precision):
+            calls.append(point)
+            return check(expr, point, precision)
+
+        # every module of the package that binds the function calls the counter
+        for module in list(sys.modules.values()):
+            if getattr(module, "evaluate_to_precision", None) is check:
+                monkeypatch.setattr(module, "evaluate_to_precision", counting_check)
+        member = make_diagonal_family([1.0], 3)[0]
+        box = BoxSpec(((-6, 6),) * 3, 3)
+        cert = certify_surjective_on_box(compose_with_base(member, s23_base()), box, 1e-3)
+        assert cert.certified
+        assert len(calls) == box.target_count
 
     def test_degenerate_member_is_rejected_not_failed(self):
         box = BoxSpec(((-1, 1), (-1, 1)), 3)

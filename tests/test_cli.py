@@ -1,5 +1,6 @@
 """Command-line surface: spec parsing, outputs, exit codes, determinism."""
 
+import copy
 import json
 from fractions import Fraction
 
@@ -131,6 +132,11 @@ class TestEval:
         spec = write_spec(tmp_path, BASE_ONLY)
         assert main(["eval", "--spec", spec, "--point", "1,2,3"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "one"])
+    def test_malformed_point_exits_2(self, tmp_path, point):
+        spec = write_spec(tmp_path, BASE_ONLY)
+        assert main(["eval", "--spec", spec, f"--point={point}"]) == EXIT_VALIDATION
+
     def test_unknown_keys_rejected(self, tmp_path):
         spec = write_spec(tmp_path, {"base": {"construct": "extend_to_line"}, "extra": 1})
         assert main(["eval", "--spec", spec, "--point", "0"]) == EXIT_VALIDATION
@@ -191,6 +197,38 @@ class TestCertify:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "spec,path,value",
+        [
+            (CERTIFY_SPEC, ("base", "lifts"), "two"),
+            (CERTIFY_SPEC, ("base", "lifts"), False),
+            (CERTIFY_SPEC, ("base", "project_to"), True),
+            (CERTIFY_SPEC, ("base", "project_to"), 1.5),
+            (CERTIFY_SPEC, ("certify", "grid"), "3.5"),
+            (CERTIFY_SPEC, ("certify", "grid"), 2.9),
+            (CERTIFY_SPEC, ("certify", "epsilon"), "nan"),
+            (CERTIFY_SPEC, ("certify", "epsilon"), "inf"),
+            (CERTIFY_SPEC, ("certify", "epsilon"), True),
+            (CERTIFY_SPEC, ("certify", "box"), [["-inf", "5"], ["-5", "5"]]),
+            (CERTIFY_SPEC, ("certify", "box"), 7),
+            (CERTIFY_SPEC, ("family", "coefficients"), ["1", "1e400", "1"]),
+            (CERTIFY_SPEC, ("family", "diagonal_exponents"), "123"),
+            (DEGENERATE_SPEC, ("family", "terms"), 5),
+            (DEGENERATE_SPEC, ("family", "terms", 0, "exponents"), "12"),
+            (DEGENERATE_SPEC, ("family", "terms", 0, "coefficient"), True),
+        ],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, capsys, spec, path, value):
+        bad = copy.deepcopy(spec)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        spec_path = write_spec(tmp_path, bad)
+        code = main(["certify", "--spec", spec_path, "--report", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_family_needs_terms_or_diagonal(self, tmp_path):
         spec = write_spec(
             tmp_path, {"base": {"construct": "extend_to_line"}, "family": {}}

@@ -6,14 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import surjkit.spans
 from surjkit import (
+    DimLift,
     DomainError,
-    EvalRequest,
     ResourceError,
     StructuralError,
     VectorSpanMember,
     compose_with_base,
-    evaluate,
     evaluate_at,
     evaluate_to_precision,
     expr_from_dict,
@@ -173,13 +173,28 @@ class TestEvaluate:
 
     def test_depth_cap(self):
         with pytest.raises(ResourceError):
-            evaluate(extend_to_line(), EvalRequest((0.7,), depth=8192))
+            evaluate_at(extend_to_line(), (0.7,), depth=8192)
 
     def test_request_validation(self):
         with pytest.raises(DomainError):
-            EvalRequest((0.5,), depth=0)
-        with pytest.raises(DomainError):
-            EvalRequest((0.5,), precision=0.0)
+            evaluate_at(extend_to_line(), (0.5,), depth=0)
+
+    def test_phi_compose_reduces_its_member_once(self, monkeypatch):
+        calls = []
+        reduce = surjkit.spans.component_reduce
+
+        def counting_reduce(member):
+            calls.append(member)
+            return reduce(member)
+
+        monkeypatch.setattr(surjkit.spans, "component_reduce", counting_reduce)
+        member = VectorSpanMember(((1.0, (1.0, 2.0, 0.5)), (-0.5, (2.0, 1.0, 1.0))), 3)
+        pipe = compose_with_base(member, project_lift(lift_dimension(extend_to_line()), 2))
+        rng = random.Random(37)
+        for _ in range(50):
+            evaluate_at(pipe, (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)), depth=10)
+        preimage(pipe, (0.5, -1.0, 2.0), 1e-3)
+        assert len(calls) == 1
 
 
 class TestPreimage:
@@ -255,7 +270,8 @@ class TestSerialization:
         F = project_lift(lift_dimension(g), 2)
         member = make_diagonal_family([1.5], 3)[0]
         pipe = compose_with_base(member, F)
-        for expr in (g, F, pipe):
+        lifted = DimLift(lift_dimension(g))
+        for expr in (g, F, pipe, lifted):
             data = expr_to_dict(expr)
             assert expr_from_dict(data) == expr
 
