@@ -10,6 +10,7 @@ a finite family's evaluation matrix under pivoted elimination.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -41,8 +42,8 @@ class BoxSpec:
         if self.grid_points < 2:
             raise DomainError("need at least two grid points per coordinate")
         for lo, hi in self.bounds:
-            if not lo < hi:
-                raise DomainError(f"bound ({lo}, {hi}) must satisfy low < high")
+            if not -math.inf < lo < hi < math.inf:
+                raise DomainError(f"bound ({lo}, {hi}) must be finite with low < high")
 
     @property
     def arity(self) -> int:
@@ -126,8 +127,8 @@ def certify_surjective_on_box(
     """
     if not isinstance(f, (VectorSpanMember, FunctionExpr)):
         raise DomainError(f"cannot certify an object of type {type(f).__name__}")
-    if eps <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {eps}")
     if box.target_count > target_budget:
         raise DomainError(
             f"{box.target_count} targets exceed budget {target_budget}; "

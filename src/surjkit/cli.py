@@ -36,7 +36,7 @@ from .certify import (
     default_sample_points,
     independence_report,
 )
-from .curve import DEFAULT_DEPTH_CAP, curve_trace
+from .curve import DEFAULT_DEPTH_CAP, _trace_blocks
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -303,13 +303,22 @@ def independence_json(report: IndependenceReport) -> dict:
 
 
 def cmd_trace(args) -> int:
-    points = curve_trace(args.depth, depth_cap=args.depth_cap)
-    cells = 4**args.depth
+    k = args.depth
+    blocks = _trace_blocks(k, depth_cap=args.depth_cap)
+    coords = [dyadic_decimal(Fraction(2 * c + 1, 2 << k)) for c in range(1 << k)]
+    scale, places = 25**k, 2 * k
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,y\n")
-        for i, p in enumerate(points):
-            t = dyadic_decimal(Fraction(i, cells))
-            fh.write(f"{t},{dyadic_decimal(p.x)},{dyadic_decimal(p.y)}\n")
+        for start, cols, rows in blocks:
+            # dyadic_decimal(i/4^k), from the digits of i/4^k = i*25^k/10^(2k) < 1
+            ts = [
+                ("0." + str(i * scale).rjust(places, "0")).rstrip("0").rstrip(".")
+                for i in range(start, start + len(cols))
+            ]
+            fh.write("".join(
+                f"{t},{coords[col]},{coords[row]}\n"
+                for t, col, row in zip(ts, cols.tolist(), rows.tolist())
+            ))
     return EXIT_OK
 
 

@@ -5,6 +5,10 @@ classic Hilbert order: entry at the lower-left corner, exit at the
 lower-right corner, first quadrant step upward (LL -> UL -> UR -> LR).
 All arithmetic on parameters and cells is exact; floating point appears
 only when callers convert the returned dyadic coordinates.
+
+The codec is a four-state machine that reads a byte of the curve index
+(four base-4 digits) per table lookup (Warren, Hacker's Delight, section
+16; Skilling, "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004).
 """
 
 from __future__ import annotations
@@ -12,13 +16,69 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from numbers import Rational
+from typing import Iterator, Union
+
+import numpy as np
 
 from .errors import DomainError, ResourceError
 
 DEFAULT_DEPTH_CAP = 12
 
 RealLike = Union[int, float, Fraction, "CurveParam"]
+
+# The quadrant rule: digit q of the depth-1 walk visits the quadrant with
+# bits _QUADRANT[q] and runs its sub-curve under the transform _CHILD[q].
+# The states are the transforms of the Klein group, coded so that bit 0
+# transposes and bit 1 rotates by 180 degrees (0 identity, 1 transpose,
+# 2 rot180, 3 anti-transpose); composition is XOR.
+_QUADRANT = ((0, 0), (0, 1), (1, 1), (1, 0))  # LL, UL, UR, LR
+_CHILD = (1, 0, 0, 3)  # T, I, I, A
+
+_TRACE_BLOCK = 1 << 12  # rows per block of the trace enumerator
+
+
+def _build_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Byte tables of the state machine, composed from two-digit walks.
+
+    _FWD[state << 8 | byte] = x nibble << 6 | y nibble << 2 | next state
+    _INV[state << 8 | x nibble << 4 | y nibble] = byte << 2 | next state
+    """
+    pair = {}  # (state, two digits) -> (x bits, y bits, next state)
+    for state in range(4):
+        for value in range(16):
+            s, x, y = state, 0, 0
+            for q in (value >> 2, value & 3):
+                qx, qy = _QUADRANT[q]
+                if s & 1:
+                    qx, qy = qy, qx
+                if s & 2:
+                    qx, qy = 1 - qx, 1 - qy
+                x, y, s = x << 1 | qx, y << 1 | qy, s ^ _CHILD[q]
+            pair[state, value] = x, y, s
+    fwd = [0] * 1024
+    inv = [0] * 1024
+    for (state, hi), (x_hi, y_hi, mid) in pair.items():
+        for lo in range(16):
+            x_lo, y_lo, s = pair[mid, lo]
+            x, y, byte = x_hi << 2 | x_lo, y_hi << 2 | y_lo, hi << 4 | lo
+            fwd[state << 8 | byte] = x << 6 | y << 2 | s
+            inv[state << 8 | x << 4 | y] = byte << 2 | s
+    return tuple(fwd), tuple(inv)
+
+
+_FWD, _INV = _build_tables()
+_FWD_ARRAY = np.array(_FWD, dtype=np.int64)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """Exact (numerator, positive denominator) of a finite real."""
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    x = float(x)
+    if math.isfinite(x):
+        return x.as_integer_ratio()
+    raise DomainError(f"{x} is not a finite real")
 
 
 @dataclass(frozen=True)
@@ -85,52 +145,39 @@ class CellAddress:
         return PlanePoint(Fraction(2 * self.col + 1, denom), Fraction(2 * self.row + 1, denom))
 
 
-def _rot(s: int, x: int, y: int, rx: int, ry: int) -> tuple[int, int]:
-    if ry == 0:
-        if rx == 1:
-            x = s - 1 - x
-            y = s - 1 - y
-        x, y = y, x
-    return x, y
-
-
 def _d2xy(k: int, d: int) -> tuple[int, int]:
-    """Curve index -> grid coordinates at depth k (base-4 digit walk)."""
+    """Curve index -> grid coordinates at depth k, one lookup per byte of d.
+
+    When k is not a multiple of 4, d is read with pad leading zero digits.
+    Starting in state T^pad, those digits stay in the lower-left quadrant
+    and leave the walk in the identity state.
+    """
+    nbytes = (k + 3) >> 2 or 1
+    state = (4 * nbytes - k) & 1
     x = y = 0
-    t = d
-    s = 1
-    while s < (1 << k):
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        x, y = _rot(s, x, y, rx, ry)
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s *= 2
+    for byte in d.to_bytes(nbytes, "big"):
+        e = _FWD[state << 8 | byte]
+        x = x << 4 | e >> 6
+        y = y << 4 | e >> 2 & 15
+        state = e & 3
     return x, y
 
 
 def _xy2d(k: int, x: int, y: int) -> int:
-    """Grid coordinates -> curve index at depth k."""
+    """Grid coordinates -> curve index at depth k, one lookup per byte of the index.
+
+    Each byte of x and y holds two nibbles, so each one yields two bytes of
+    the index; the padding works as in _d2xy.
+    """
+    nbytes = (k + 7) >> 3 or 1
+    state = (8 * nbytes - k) & 1
     d = 0
-    s = (1 << k) >> 1
-    while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
-        d += s * s * ((3 * rx) ^ ry)
-        x, y = _rot(s, x, y, rx, ry)
-        s >>= 1
+    for bx, by in zip(x.to_bytes(nbytes, "big"), y.to_bytes(nbytes, "big")):
+        hi = _INV[state << 8 | bx & 0xF0 | by >> 4]
+        lo = _INV[(hi & 3) << 8 | (bx & 15) << 4 | by & 15]
+        d = d << 16 | (hi >> 2) << 8 | lo >> 2
+        state = lo & 3
     return d
-
-
-def as_param_value(t: RealLike) -> Fraction:
-    """Coerce a parameter to an exact Fraction in [0, 1]."""
-    if isinstance(t, CurveParam):
-        return t.value
-    value = Fraction(t)
-    if not 0 <= value <= 1:
-        raise DomainError(f"parameter {t} outside [0, 1]")
-    return value
 
 
 def hilbert_encode(t: RealLike, k: int) -> tuple[CellAddress, PlanePoint]:
@@ -141,21 +188,26 @@ def hilbert_encode(t: RealLike, k: int) -> tuple[CellAddress, PlanePoint]:
     """
     if k < 0:
         raise DomainError("depth must be non-negative")
-    value = as_param_value(t)
-    cells = 4**k
-    index = min(math.floor(value * cells), cells - 1) if cells > 1 else 0
-    col, row = _d2xy(k, index)
-    cell = CellAddress(k, col, row)
+    if isinstance(t, CurveParam):
+        num, den = t.numerator, 1 << 2 * t.depth
+    else:
+        num, den = _ratio(t)
+    if not 0 <= num <= den:
+        raise DomainError(f"parameter {t} outside [0, 1]")
+    index = min((num << 2 * k) // den, (1 << 2 * k) - 1)
+    cell = CellAddress(k, *_d2xy(k, index))
     return cell, cell.center()
 
 
 def cell_of(p: PlanePoint | tuple, k: int) -> CellAddress:
     """Depth-k cell containing p; boundary ties break toward the lower left."""
-    if not isinstance(p, PlanePoint):
-        p = PlanePoint(Fraction(p[0]), Fraction(p[1]))
-    side = 1 << k
-    col = max(math.ceil(p.x * side) - 1, 0)
-    row = max(math.ceil(p.y * side) - 1, 0)
+    x, y = (p.x, p.y) if isinstance(p, PlanePoint) else p
+    (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+    if not (0 <= xn <= xd and 0 <= yn <= yd):
+        raise DomainError(f"point ({x}, {y}) outside the unit square")
+    # column ceil(x * 2^k) - 1, by integer ceiling division
+    col = max(-((-xn << k) // xd) - 1, 0)
+    row = max(-((-yn << k) // yd) - 1, 0)
     return CellAddress(k, col, row)
 
 
@@ -168,8 +220,42 @@ def hilbert_decode(p: PlanePoint | tuple, k: int) -> CurveParam:
     if k < 0:
         raise DomainError("depth must be non-negative")
     cell = cell_of(p, k)
-    index = _xy2d(k, cell.col, cell.row)
-    return CurveParam(index, k)
+    return CurveParam(_xy2d(k, cell.col, cell.row), k)
+
+
+def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:
+    """The depth-k walk in order, as blocks (start index, cols, rows).
+
+    Depth and cap are checked on the call, before any block is made; each
+    block holds at most _TRACE_BLOCK cells as int64 arrays, so memory stays
+    flat at any depth.
+    """
+    if k < 0:
+        raise DomainError("depth must be non-negative")
+    if k > depth_cap:
+        raise ResourceError(
+            f"depth {k} would trace 4^{k} rows, over the cap of depth {depth_cap}; "
+            f"raise depth_cap to override"
+        )
+    cells = 1 << 2 * k
+    return (
+        _walk_block(k, start, min(start + _TRACE_BLOCK, cells))
+        for start in range(0, cells, _TRACE_BLOCK)
+    )
+
+
+def _walk_block(k: int, start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """_d2xy over the indices start..stop-1 at once, with the same tables."""
+    index = np.arange(start, stop, dtype=np.int64)
+    nbytes = (k + 3) >> 2 or 1
+    state = (4 * nbytes - k) & 1
+    cols = rows = np.zeros_like(index)
+    for shift in range(8 * nbytes - 8, -8, -8):
+        e = _FWD_ARRAY[state << 8 | (index >> shift & 255)]
+        cols = cols << 4 | e >> 6
+        rows = rows << 4 | e >> 2 & 15
+        state = e & 3
+    return start, cols, rows
 
 
 def curve_trace(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[PlanePoint]:
@@ -177,16 +263,12 @@ def curve_trace(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[PlanePoint]:
 
     Consecutive points differ by exactly one coordinate step of 2^-k.
     """
-    if k < 0:
-        raise DomainError("depth must be non-negative")
-    if k > depth_cap:
-        raise ResourceError(f"depth {k} exceeds cap {depth_cap}; raise depth_cap to override")
-    denom = 1 << (k + 1)
-    points = []
-    for d in range(4**k):
-        col, row = _d2xy(k, d)
-        points.append(PlanePoint(Fraction(2 * col + 1, denom), Fraction(2 * row + 1, denom)))
-    return points
+    denom = 2 << k
+    return [
+        PlanePoint(Fraction(2 * col + 1, denom), Fraction(2 * row + 1, denom))
+        for _, cols, rows in _trace_blocks(k, depth_cap)
+        for col, row in zip(cols.tolist(), rows.tolist())
+    ]
 
 
 def modulus_bound(k: int) -> float:

@@ -24,10 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional, Sequence, Union
 
-from .curve import _d2xy, hilbert_decode
+from .curve import _d2xy, _ratio, hilbert_decode
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -42,12 +41,6 @@ DEFAULT_EVAL_DEPTH = 12
 REFINEMENT_DOUBLINGS = 4
 
 Real = Union[int, float, Fraction]
-
-
-def _exact(x: Real) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    return Fraction(float(x))
 
 
 class FunctionExpr:
@@ -76,34 +69,29 @@ class PeanoLine(FunctionExpr):
     domain_arity = 1
     codomain_arity = 2
 
-    @staticmethod
-    def _box_entry(n: int) -> tuple[Fraction, Fraction]:
-        return Fraction(-n), Fraction(-n)
-
-    @staticmethod
-    def _box_exit(n: int) -> tuple[Fraction, Fraction]:
-        return Fraction(n), Fraction(-n)
-
     def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
-        t = _exact(point[0])
-        if t <= 0:
+        # t = p/q exactly; every output is one correctly rounded int / int
+        # division, the same float that float(Fraction) gives
+        p, q = _ratio(point[0])
+        if p <= 0:
             return (0.0, 0.0), 0.0
-        i = math.floor(t)
-        frac = t - i
+        i, r = divmod(p, q)
         n = i + 1
-        if frac < Fraction(1, 2):
-            # bridge from the previous exit (or the origin) to the entry of B_n
-            px, py = (Fraction(0), Fraction(0)) if i == 0 else self._box_exit(i)
-            qx, qy = self._box_entry(n)
-            theta = 2 * frac
-            return (float(px + theta * (qx - px)), float(py + theta * (qy - py))), 0.0
-        u = 2 * frac - 1  # in [0, 1)
-        index = math.floor(u * 4**depth)
+        if 2 * r < q:
+            # bridge at theta = 2r/q from the previous exit (i, -i), or the
+            # origin, to the entry (-n, -n) of B_n
+            px, py = (i, -i) if i else (0, 0)
+            return (
+                (px * q + 2 * r * (-n - px)) / q,
+                (py * q + 2 * r * (-n - py)) / q,
+            ), 0.0
+        index = ((2 * r - q) << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
         col, row = _d2xy(depth, index)
-        denom = 1 << (depth + 1)
-        x = Fraction(2 * n) * Fraction(2 * col + 1, denom) - n
-        y = Fraction(2 * n) * Fraction(2 * row + 1, denom) - n
-        return (float(x), float(y)), float(2 * n) * 2.0 ** (-depth)
+        side = 1 << depth
+        return (
+            (n * (2 * col + 1 - side) / side, n * (2 * row + 1 - side) / side),
+            float(2 * n) * 2.0 ** (-depth),
+        )
 
     def _modulus_at(self, t: float, delta: float, depth: int) -> float:
         """Bound on output movement over [t - delta, t + delta]."""
@@ -117,15 +105,17 @@ class PeanoLine(FunctionExpr):
     def _preimage_with_depth(
         self, target: tuple, tol: float, depth_scale: int
     ) -> tuple[tuple[Fraction], int]:
-        a, b = _exact(target[0]), _exact(target[1])
-        n = max(1, math.ceil(max(abs(a), abs(b))))
+        (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
+        n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
         # half a cell of B_n at depth k stays within tol/2
         k = max(1, math.ceil(math.log2(4.0 * n / tol))) * depth_scale
         if k > EVAL_DEPTH_CAP:
             raise ResourceError(f"preimage depth {k} exceeds cap {EVAL_DEPTH_CAP}")
-        q = ((a + n) / (2 * n), (b + n) / (2 * n))
-        u = hilbert_decode(q, k).value
-        t = Fraction(2 * n - 1, 2) + u / 2
+        # the target's position in B_n, scaled to the unit square
+        unit = (Fraction(pa + n * qa, 2 * n * qa), Fraction(pb + n * qb, 2 * n * qb))
+        u = hilbert_decode(unit, k)
+        # t = (2n - 1)/2 + u/2
+        t = Fraction(((2 * n - 1) << 2 * u.depth) + u.numerator, 2 << 2 * u.depth)
         return (t,), k
 
     def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
@@ -386,9 +376,11 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     Curve-derived coordinates come back as exact Fractions: composed
     curve chains need more parameter resolution than a float carries.
     """
-    if eps <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {eps}")
     target = tuple(float(y) for y in target)
+    if not all(map(math.isfinite, target)):
+        raise DomainError(f"target {target} is not finite")
     if len(target) != expr.codomain_arity:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"

@@ -1,5 +1,6 @@
 """Coverage certificates, degeneracy detection, and independence ranks."""
 
+import math
 import random
 import sys
 
@@ -142,8 +143,12 @@ class TestCoverage:
             BoxSpec(((-1, 1), (2, 2)), 3)
         with pytest.raises(DomainError):
             BoxSpec(((-1, 1),), 1)
-        with pytest.raises(DomainError):
-            certify_surjective_on_box(extend_to_line(), BoxSpec(((-1, 1), (-1, 1)), 3), 0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                certify_surjective_on_box(extend_to_line(), BoxSpec(((-1, 1), (-1, 1)), 3), eps)
+        for bad in ((0, math.inf), (-math.inf, 0), (math.nan, 1)):
+            with pytest.raises(DomainError):
+                BoxSpec((bad, (0, 1)), 2)
 
 
 class TestIndependence:

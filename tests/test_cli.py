@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from surjkit import curve_trace
+from surjkit.curve import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -15,6 +16,7 @@ from surjkit.cli import (
     dyadic_decimal,
     main,
 )
+from oracles import recursion_centers
 
 BASE_ONLY = {"base": {"construct": "extend_to_line"}}
 
@@ -98,6 +100,32 @@ class TestTrace:
             t, x, y = (Fraction(part) for part in row.split(","))
             assert t == Fraction(i, 4**3)
             assert (x, y) == (point.x, point.y)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 8])
+    def test_streamed_rows_match_the_oracle(self, tmp_path, k):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--depth", str(k), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().split("\n")
+        assert lines[0] == "t,x,y" and lines[-1] == ""
+        rows = lines[1:-1]
+        centers = recursion_centers(k).tolist()
+        assert len(rows) == len(centers) == 4**k
+        if k == 8:
+            assert len(rows) > 2 * _TRACE_BLOCK
+        for i, (row, (x, y)) in enumerate(zip(rows, centers)):
+            values = (Fraction(i, 4**k), Fraction(x), Fraction(y))
+            assert row == ",".join(dyadic_decimal(v) for v in values)
+
+    @pytest.mark.parametrize(
+        "depth,code,reason",
+        [("-1", EXIT_VALIDATION, "non-negative"), ("13", EXIT_RESOURCE, "4^13 rows")],
+    )
+    def test_refused_depth_leaves_the_output_untouched(self, tmp_path, capsys, depth, code, reason):
+        out = tmp_path / "trace.csv"
+        out.write_text("keep me\n")
+        assert main(["trace", "--depth", depth, "--out", str(out)]) == code
+        assert out.read_text() == "keep me\n"
+        assert reason in capsys.readouterr().err
 
     def test_over_cap_is_a_resource_failure(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -1,5 +1,6 @@
 """Curve codec: conventions, coverage, adjacency, nesting, round trips."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from surjkit import (
     hilbert_encode,
     modulus_bound,
 )
+from surjkit.curve import _d2xy, _xy2d
 from oracles import recursion_trace
 
 # depth-1 traversal expanded by hand: lower-left, upper-left, upper-right,
@@ -61,10 +63,9 @@ class TestEncode:
         assert [(c.col, c.row) for c in order] == DEPTH1_ORDER
 
     def test_outside_unit_interval_rejected(self):
-        with pytest.raises(DomainError):
-            hilbert_encode(1.5, 3)
-        with pytest.raises(DomainError):
-            hilbert_encode(-0.25, 3)
+        for t in (1.5, -0.25, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                hilbert_encode(t, 3)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_matches_quadrant_recursion_oracle(self, k):
@@ -122,8 +123,32 @@ class TestDecode:
         assert (cell.col, cell.row) == (0, 0)
 
     def test_outside_square_rejected(self):
-        with pytest.raises(DomainError):
-            hilbert_decode((1.5, 0.5), 3)
+        for p in ((1.5, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)):
+            with pytest.raises(DomainError):
+                hilbert_decode(p, 3)
+
+
+class TestCodec:
+    """The byte-table walk against the quadrant-recursion oracle."""
+
+    # a depth that is not a multiple of 4 (of 8 for _xy2d) reads leading pad digits
+    @pytest.mark.parametrize("k", range(10))
+    def test_every_index_matches_the_oracle(self, k):
+        oracle = recursion_trace(k).tolist()
+        for i, (col, row) in enumerate(oracle):
+            assert _d2xy(k, i) == (col, row)
+            assert _xy2d(k, col, row) == i
+
+    @pytest.mark.parametrize("k", [64, 255, 1024])
+    def test_deep_round_trips_and_steps(self, k):
+        rng = random.Random(k)
+        for _ in range(200):
+            i = rng.randrange(4**k - 1)
+            col, row = _d2xy(k, i)
+            assert 0 <= col < 2**k and 0 <= row < 2**k
+            assert _xy2d(k, col, row) == i
+            next_col, next_row = _d2xy(k, i + 1)
+            assert abs(col - next_col) + abs(row - next_row) == 1
 
 
 class TestTrace:

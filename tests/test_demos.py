@@ -1,16 +1,17 @@
-"""The demos import only names that the package exports.
-
-The demos are parsed, not run: together they take about 15 s.
-"""
+"""The demos run to completion and import only names that the package exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import surjkit
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -28,3 +29,12 @@ def test_demo_imports_are_public(path):
     }
     assert imported, f"{path.name} imports nothing from surjkit"
     assert imported <= set(surjkit.__all__), sorted(imported - set(surjkit.__all__))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

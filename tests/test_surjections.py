@@ -1,15 +1,18 @@
 """Expression trees: construction laws, evaluation estimates, preimages."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import surjkit.spans
 from surjkit import (
     DimLift,
     DomainError,
+    PeanoLine,
     ResourceError,
     StructuralError,
     VectorSpanMember,
@@ -19,11 +22,13 @@ from surjkit import (
     expr_from_dict,
     expr_to_dict,
     extend_to_line,
+    hilbert_decode,
     lift_dimension,
     make_diagonal_family,
     preimage,
     project_lift,
 )
+from surjkit.curve import _d2xy
 from oracles import covered_targets, line_map_points, sweep_plane_cloud
 
 
@@ -176,8 +181,16 @@ class TestEvaluate:
             evaluate_at(extend_to_line(), (0.7,), depth=8192)
 
     def test_request_validation(self):
+        g = extend_to_line()
         with pytest.raises(DomainError):
-            evaluate_at(extend_to_line(), (0.5,), depth=0)
+            evaluate_at(g, (0.5,), depth=0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                evaluate_at(g, (bad,))
+            with pytest.raises(DomainError):
+                preimage(g, (bad, 0.0), 1e-3)
+            with pytest.raises(DomainError):
+                preimage(g, (0.0, 0.0), bad)
 
     def test_phi_compose_reduces_its_member_once(self, monkeypatch):
         calls = []
@@ -262,6 +275,68 @@ class TestPreimage:
         witness = preimage(g, (0.5, 0.5), 1e-300)
         value = evaluate_to_precision(g, witness, 1e-12).value
         assert value == (0.5, 0.5)
+
+
+def fraction_peano_eval(t, depth):
+    """Reference for PeanoLine._eval, in Fraction arithmetic."""
+    t = Fraction(t)
+    if t <= 0:
+        return (0.0, 0.0), 0.0
+    i = math.floor(t)
+    frac = t - i
+    n = i + 1
+    if frac < Fraction(1, 2):
+        px, py = (Fraction(0), Fraction(0)) if i == 0 else (Fraction(i), Fraction(-i))
+        qx, qy = Fraction(-n), Fraction(-n)
+        theta = 2 * frac
+        return (float(px + theta * (qx - px)), float(py + theta * (qy - py))), 0.0
+    index = math.floor((2 * frac - 1) * 4**depth)
+    col, row = _d2xy(depth, index)
+    denom = 1 << (depth + 1)
+    x = Fraction(2 * n) * Fraction(2 * col + 1, denom) - n
+    y = Fraction(2 * n) * Fraction(2 * row + 1, denom) - n
+    return (float(x), float(y)), float(2 * n) * 2.0 ** (-depth)
+
+
+def fraction_peano_preimage(target, tol, depth_scale):
+    """Reference for PeanoLine._preimage, in Fraction arithmetic."""
+    a, b = Fraction(target[0]), Fraction(target[1])
+    n = max(1, math.ceil(max(abs(a), abs(b))))
+    k = max(1, math.ceil(math.log2(4.0 * n / tol))) * depth_scale
+    u = hilbert_decode(((a + n) / (2 * n), (b + n) / (2 * n)), k).value
+    return (Fraction(2 * n - 1, 2) + u / 2,)
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+reals = st.one_of(
+    st.floats(min_value=-1.0, max_value=8.0),
+    st.fractions(min_value=-1, max_value=8, max_denominator=10**30),
+)
+
+
+@given(t=reals, depth=st.integers(min_value=1, max_value=80))
+def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
+    values, est = PeanoLine()._eval((t,), depth)
+    want, want_est = fraction_peano_eval(t, depth)
+    assert float_bits(values) == float_bits(want)
+    assert est.hex() == want_est.hex()
+
+
+@given(
+    target=st.tuples(
+        st.one_of(st.floats(min_value=-20.0, max_value=20.0), st.fractions(-20, 20)),
+        st.one_of(st.floats(min_value=-20.0, max_value=20.0), st.fractions(-20, 20)),
+    ),
+    tol=st.floats(min_value=1e-12, max_value=1.0),
+    depth_scale=st.sampled_from([1, 2]),
+)
+def test_integer_preimage_matches_fraction_decode(target, tol, depth_scale):
+    witness = PeanoLine()._preimage(target, tol, depth_scale)
+    assert witness == fraction_peano_preimage(target, tol, depth_scale)
+    assert type(witness[0]) is Fraction
 
 
 class TestSerialization:
