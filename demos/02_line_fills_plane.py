@@ -1,8 +1,6 @@
 #!/usr/bin/env python3
 # One continuous map from the real line onto the whole plane.
 
-import numpy as np
-
 from surjkit import evaluate_at, evaluate_to_precision, extend_to_line, preimage
 
 g = extend_to_line()
@@ -26,10 +24,9 @@ print("\njunction t=1.5:", left, "vs", right)
 # How much of a box does a finite parameter window cover? Sample forward and
 # count which cells of a 40x40 grid on [-2,2]^2 get hit.
 for depth in (5, 7, 9):
-    t = np.linspace(1.5, 2.0, 4**depth, endpoint=False)
     hits = set()
-    for ti in t:
-        x, y = evaluate_at(g, (float(ti),), depth=depth).value
+    for i in range(4**depth):
+        x, y = evaluate_at(g, (1.5 + i / (2 * 4**depth),), depth=depth).value
         hits.add((min(int((x + 2) * 10), 39), min(int((y + 2) * 10), 39)))
     print(f"depth {depth}: parameter window [1.5,2) hits {len(hits)}/1600 coarse cells")
 

@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .errors import DegenerateMemberError, DomainError, StructuralError
+from .errors import DegenerateMemberError, DomainError, ResourceError, StructuralError
 from .spans import ScalarSpan, VectorSpanMember, scalar_solve
 from .surjections import FunctionExpr, PhiCompose, _refine, compose_with_base, evaluate_at
 
@@ -193,43 +191,46 @@ def _describe(f: FamilyFunction) -> str:
     return f.describe()
 
 
-def _equilibrate(matrix: np.ndarray) -> np.ndarray:
+def _equilibrate(a: list[list[float]]) -> list[list[float]]:
     """Two-sided max scaling; the raw matrices of exponential families have
     a dynamic range that swamps any relative pivot threshold."""
-    a = matrix.astype(float).copy()
     for _ in range(_EQUILIBRATION_SWEEPS):
-        row_max = np.abs(a).max(axis=1, keepdims=True)
-        row_max[row_max == 0.0] = 1.0
-        a /= row_max
-        col_max = np.abs(a).max(axis=0, keepdims=True)
-        col_max[col_max == 0.0] = 1.0
-        a /= col_max
+        row_max = [max(map(abs, row), default=0.0) or 1.0 for row in a]
+        a = [[x / m for x in row] for row, m in zip(a, row_max)]
+        col_max = [max(map(abs, col)) or 1.0 for col in zip(*a)]
+        a = [[x / m for x, m in zip(row, col_max)] for row in a]
     return a
 
 
-def matrix_rank_pivoted(matrix: np.ndarray, tol: float) -> tuple[int, list[float]]:
+def matrix_rank_pivoted(matrix: Sequence[Sequence[float]], tol: float) -> tuple[int, list[float]]:
     """Rank by complete-pivot elimination, cutoff at tol * (largest pivot).
 
-    The matrix is equilibrated first; pivot ratios (relative to the first
+    The matrix (a sequence of rows of finite reals) is equilibrated first;
+    the pivot is the first largest entry in row-major order over the rows
+    and columns not yet eliminated. Pivot ratios (relative to the first
     pivot) are returned for diagnostics.
     """
-    a = _equilibrate(np.atleast_2d(np.asarray(matrix, dtype=float)))
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
+    a = [[float(x) for x in row] for row in matrix]
+    if not all(math.isfinite(x) for row in a for x in row):
+        raise DomainError("matrix entries must be finite")
+    a = _equilibrate(a)
     pivots: list[float] = []
-    while rows and cols:
-        sub = np.abs(a[np.ix_(rows, cols)])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        piv = float(sub[i, j])
+    # a holds the rows and columns not yet eliminated, in their first order
+    while a and a[0]:
+        piv, i, j = -1.0, 0, 0
+        for r, row in enumerate(a):
+            mags = list(map(abs, row))
+            m = max(mags)
+            if m > piv:
+                piv, i, j = m, r, mags.index(m)
         if piv == 0.0 or (pivots and piv <= tol * pivots[0]):
             break
         pivots.append(piv)
-        pr, pc = rows[i], cols[j]
-        for r in rows:
-            if r != pr:
-                a[r, :] -= (a[r, pc] / a[pr, pc]) * a[pr, :]
-        rows.remove(pr)
-        cols.remove(pc)
+        top = a.pop(i)
+        for r, row in enumerate(a):
+            f = row[j] / top[j]
+            a[r] = [x - f * y for x, y in zip(row, top)]
+            del a[r][j]
     ratios = [p / pivots[0] for p in pivots] if pivots else []
     return len(pivots), ratios
 
@@ -244,18 +245,28 @@ def independence_report(
 
     Row i holds function i evaluated at every point, flattened over output
     coordinates; full rank certifies independence of the finite family.
+    A value that is not finite (a sinh term past float range) makes the
+    rank meaningless and raises ResourceError.
     """
     if len(points) < len(family):
         raise DomainError("need at least as many sample points as family members")
     pts = [tuple(float(x) for x in p) for p in points]
-    matrix = np.array(
-        [[v for p in pts for v in _family_eval(f, p, depth)] for f in family], dtype=float
-    )
+    matrix = []
+    for f in family:
+        row: list[float] = []
+        for p in pts:
+            values = _family_eval(f, p, depth)
+            if not all(map(math.isfinite, values)):
+                raise ResourceError(
+                    f"family member {_describe(f)} is not finite at sample point {p}"
+                )
+            row.extend(values)
+        matrix.append(row)
     rank, ratios = matrix_rank_pivoted(matrix, tol)
     return IndependenceReport(
         family=tuple(_describe(f) for f in family),
         points=tuple(pts),
-        matrix_shape=(matrix.shape[0], matrix.shape[1]),
+        matrix_shape=(len(matrix), len(matrix[0]) if matrix else 0),
         rank=rank,
         tolerance=tol,
         pivot_ratios=tuple(ratios),

@@ -317,7 +317,7 @@ def cmd_trace(args) -> int:
             ]
             fh.write("".join(
                 f"{t},{coords[col]},{coords[row]}\n"
-                for t, col, row in zip(ts, cols.tolist(), rows.tolist())
+                for t, col, row in zip(ts, cols, rows)
             ))
     return EXIT_OK
 

@@ -19,8 +19,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Union
 
-import numpy as np
-
 from .errors import DomainError, ResourceError
 
 DEFAULT_DEPTH_CAP = 12
@@ -35,7 +33,7 @@ RealLike = Union[int, float, Fraction, "CurveParam"]
 _QUADRANT = ((0, 0), (0, 1), (1, 1), (1, 0))  # LL, UL, UR, LR
 _CHILD = (1, 0, 0, 3)  # T, I, I, A
 
-_TRACE_BLOCK = 1 << 12  # rows per block of the trace enumerator
+_TRACE_BLOCK = 1 << 12  # rows per block of the trace enumerator (16 runs of a byte)
 
 
 def _build_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -68,7 +66,9 @@ def _build_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 _FWD, _INV = _build_tables()
-_FWD_ARRAY = np.array(_FWD, dtype=np.int64)
+# x and y nibbles of the 256 cells that one byte walks from each state
+_RUN_X = tuple(tuple(e >> 6 for e in _FWD[s << 8 : (s + 1) << 8]) for s in range(4))
+_RUN_Y = tuple(tuple(e >> 2 & 15 for e in _FWD[s << 8 : (s + 1) << 8]) for s in range(4))
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -227,8 +227,8 @@ def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:
     """The depth-k walk in order, as blocks (start index, cols, rows).
 
     Depth and cap are checked on the call, before any block is made; each
-    block holds at most _TRACE_BLOCK cells as int64 arrays, so memory stays
-    flat at any depth.
+    block holds at most _TRACE_BLOCK cells as lists, so memory stays flat
+    at any depth.
     """
     if k < 0:
         raise DomainError("depth must be non-negative")
@@ -237,25 +237,34 @@ def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:
             f"depth {k} would trace 4^{k} rows, over the cap of depth {depth_cap}; "
             f"raise depth_cap to override"
         )
-    cells = 1 << 2 * k
-    return (
-        _walk_block(k, start, min(start + _TRACE_BLOCK, cells))
-        for start in range(0, cells, _TRACE_BLOCK)
-    )
+    return _walk_blocks(k)
 
 
-def _walk_block(k: int, start: int, stop: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """_d2xy over the indices start..stop-1 at once, with the same tables."""
-    index = np.arange(start, stop, dtype=np.int64)
+def _walk_blocks(k: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """_d2xy over every index, one aligned run of 256 cells at a time.
+
+    A run shares its index bytes above the last, so one walk of those
+    gives its high nibbles and the state in which the run tables finish
+    it. Below depth 4 the single run is the first 4^k cells of one byte,
+    read with the padding of _d2xy.
+    """
     nbytes = (k + 3) >> 2 or 1
-    state = (4 * nbytes - k) & 1
-    cols = rows = np.zeros_like(index)
-    for shift in range(8 * nbytes - 8, -8, -8):
-        e = _FWD_ARRAY[state << 8 | (index >> shift & 255)]
-        cols = cols << 4 | e >> 6
-        rows = rows << 4 | e >> 2 & 15
-        state = e & 3
-    return start, cols, rows
+    pad_state = (4 * nbytes - k) & 1
+    cells = 1 << 2 * k
+    for start in range(0, cells, _TRACE_BLOCK):
+        cols: list[int] = []
+        rows: list[int] = []
+        for run in range(start >> 8, (min(start + _TRACE_BLOCK, cells) + 255) >> 8):
+            state, x, y = pad_state, 0, 0
+            for byte in run.to_bytes(nbytes - 1, "big"):
+                e = _FWD[state << 8 | byte]
+                x = x << 4 | e >> 6
+                y = y << 4 | e >> 2 & 15
+                state = e & 3
+            x, y = x << 4, y << 4
+            cols += [x | dx for dx in _RUN_X[state][:cells]]
+            rows += [y | dy for dy in _RUN_Y[state][:cells]]
+        yield start, cols, rows
 
 
 def curve_trace(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[PlanePoint]:
@@ -267,7 +276,7 @@ def curve_trace(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[PlanePoint]:
     return [
         PlanePoint(Fraction(2 * col + 1, denom), Fraction(2 * row + 1, denom))
         for _, cols, rows in _trace_blocks(k, depth_cap)
-        for col, row in zip(cols.tolist(), rows.tolist())
+        for col, row in zip(cols, rows)
     ]
 
 

@@ -21,7 +21,7 @@ BRACKET_CAP = 2.0**60
 
 def phi_eval(r: float, t: float) -> float:
     """e^(r t) - e^(-r t) for r > 0; overflow clamps to signed infinity."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError(f"exponent must be positive, got {r}")
     try:
         return 2.0 * math.sinh(r * t)
@@ -31,8 +31,10 @@ def phi_eval(r: float, t: float) -> float:
 
 def phi_inverse(r: float, y: float) -> float:
     """The unique t with phi_eval(r, t) = y, via t = arsinh(y/2) / r."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError(f"exponent must be positive, got {r}")
+    if not math.isfinite(y):
+        raise DomainError(f"value must be finite, got {y}")
     return math.asinh(y / 2.0) / r
 
 
@@ -133,8 +135,10 @@ def classify_asymptotics(s: ScalarSpan) -> Asymptotics:
 
 def scalar_solve(s: ScalarSpan, y: float, tol: float) -> float:
     """Some t with |s(t) - y| <= tol, by asymptotics-guided bracketing + bisection."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not math.isfinite(y):
+        raise DomainError(f"target must be finite, got {y}")
     if s.is_zero:
         raise NoSolutionError("cannot solve against the zero span")
     if abs(s.value(0.0) - y) <= tol:

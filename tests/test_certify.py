@@ -4,13 +4,16 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
+import surjkit.certify
 import surjkit.surjections
 from surjkit import (
     BoxSpec,
     DegenerateMemberError,
     DomainError,
+    ResourceError,
     VectorSpanMember,
     certify_surjective_on_box,
     combine_members,
@@ -27,6 +30,8 @@ from surjkit import (
     make_scalar_span,
     project_lift,
 )
+from surjkit.certify import matrix_rank_pivoted
+from surjkit.cli import _sample_points
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
 DEGENERATE_MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 3.0))), 2)
@@ -187,6 +192,12 @@ class TestIndependence:
         with pytest.raises(DomainError):
             independence_report(family, [(1.0,)])
 
+    def test_overflowing_member_is_a_resource_failure(self):
+        family = [make_scalar_span([(1.0, r)]) for r in (1.0, 200.0)]
+        points = [(0.5,), (1.0,), (8.0,)]
+        with pytest.raises(ResourceError, match=r"1\*phi\[200\] is not finite at sample point \(8\.0,\)"):
+            independence_report(family, points)
+
     def test_report_is_reproducible_from_stored_points(self):
         family = make_diagonal_family([1.0, 2.0, 3.0], 2)
         points = default_sample_points(12, 2)
@@ -194,6 +205,107 @@ class TestIndependence:
         again = independence_report(family, [tuple(p) for p in first.points])
         assert again.rank == first.rank
         assert again.points == first.points
+
+
+def numpy_rank_pivoted(matrix, tol):
+    """The same equilibrated complete-pivot elimination on numpy arrays.
+
+    Written out independently of the package's list version; IEEE doubles
+    must give both the same rank and bit-identical pivot ratios.
+    """
+    a = np.atleast_2d(np.asarray(matrix, dtype=float)).copy()
+    for _ in range(6):
+        row_max = np.abs(a).max(axis=1, keepdims=True)
+        row_max[row_max == 0.0] = 1.0
+        a /= row_max
+        col_max = np.abs(a).max(axis=0, keepdims=True)
+        col_max[col_max == 0.0] = 1.0
+        a /= col_max
+    rows = list(range(a.shape[0]))
+    cols = list(range(a.shape[1]))
+    pivots = []
+    while rows and cols:
+        sub = np.abs(a[np.ix_(rows, cols)])
+        i, j = np.unravel_index(np.argmax(sub), sub.shape)
+        piv = float(sub[i, j])
+        if piv == 0.0 or (pivots and piv <= tol * pivots[0]):
+            break
+        pivots.append(piv)
+        pr, pc = rows[i], cols[j]
+        for r in rows:
+            if r != pr:
+                a[r, :] -= (a[r, pc] / a[pr, pc]) * a[pr, :]
+        rows.remove(pr)
+        cols.remove(pc)
+    return len(pivots), [p / pivots[0] for p in pivots] if pivots else []
+
+
+def random_matrix(rng):
+    """Rows of mixed magnitudes, with zero rows and columns and scaled duplicates."""
+    n = rng.randrange(1, 9)
+    m = rng.randrange(1, 3 * n + 4)
+    kind = rng.randrange(4)
+    if kind == 0:  # sinh columns over an exponential family, as the reports build
+        points = sorted(rng.uniform(0.25, 8.0) for _ in range(m))
+        a = [[2.0 * math.sinh(rng.uniform(0.5, 6.0) * t) for t in points] for _ in range(n)]
+    else:
+        a = [
+            [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12) for _ in range(m)]
+            for _ in range(n)
+        ]
+    if kind == 2 and n > 1:  # scaled duplicates of earlier rows
+        for i in range(1, n, 2):
+            scale = rng.choice((2.0, -0.5, 3.0, 1e-9, 7e11))
+            a[i] = [scale * x for x in a[rng.randrange(i)]]
+    if kind == 3:  # zero rows and zero columns
+        for i in rng.sample(range(n), rng.randrange(n + 1)):
+            a[i] = [0.0] * m
+        for j in rng.sample(range(m), rng.randrange(m + 1)):
+            for row in a:
+                row[j] = 0.0
+    return a
+
+
+class TestRankElimination:
+    def assert_same_as_numpy(self, matrix, tol=1e-8):
+        rank, ratios = matrix_rank_pivoted(matrix, tol)
+        ref_rank, ref_ratios = numpy_rank_pivoted(matrix, tol)
+        assert rank == ref_rank
+        assert [repr(x) for x in ratios] == [repr(x) for x in ref_ratios]
+        return rank
+
+    def test_matches_the_numpy_elimination_bit_for_bit(self):
+        rng = random.Random(20261018)
+        ranks = set()
+        for _ in range(200):
+            matrix = random_matrix(rng)
+            ranks.add(self.assert_same_as_numpy(matrix, tol=rng.choice((1e-8, 1e-12, 1e-3))))
+        assert {0, 1} < ranks and max(ranks) >= 6
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_readme_report_matrices_match(self, monkeypatch, seed):
+        seen = []
+
+        def spy(matrix, tol):
+            seen.append(matrix)
+            return matrix_rank_pivoted(matrix, tol)
+
+        monkeypatch.setattr(surjkit.certify, "matrix_rank_pivoted", spy)
+        base = s23_base()
+        family = [compose_with_base(m, base) for m in make_diagonal_family([1.0, 2.0], 3)]
+        report = independence_report(family, _sample_points(len(family), 2, seed))
+        assert report.matrix_shape == (2, 48) and report.full_rank
+        (matrix,) = seen
+        assert self.assert_same_as_numpy(matrix) == 2
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError):
+                matrix_rank_pivoted([[1.0, bad], [2.0, 3.0]], 1e-8)
+
+    def test_empty_shapes_have_rank_zero(self):
+        assert matrix_rank_pivoted([], 1e-8) == (0, [])
+        assert matrix_rank_pivoted([[], []], 1e-8) == (0, [])
 
 
 class TestCompositionRank:

@@ -2,7 +2,11 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from surjkit.cli import (
     main,
 )
 from oracles import recursion_centers
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BASE_ONLY = {"base": {"construct": "extend_to_line"}}
 
@@ -44,6 +50,13 @@ DEGENERATE_SPEC = {
         ]
     },
     "certify": {"box": [["-1", "1"], ["-1", "1"]], "grid": 3, "epsilon": "1e-3"},
+}
+
+# 2 sinh(200 * t) passes float range at the independence sample points
+OVERFLOW_SPEC = {
+    "base": {"construct": "extend_to_line", "lifts": 0},
+    "family": {"diagonal_exponents": ["100.0", "200.0"], "coefficients": ["1", "1"]},
+    "certify": {"box": [["-1", "1"], ["-1", "1"]], "grid": 2, "epsilon": "1e-3"},
 }
 
 
@@ -101,7 +114,7 @@ class TestTrace:
             assert t == Fraction(i, 4**3)
             assert (x, y) == (point.x, point.y)
 
-    @pytest.mark.parametrize("k", [0, 1, 5, 8])
+    @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 8])
     def test_streamed_rows_match_the_oracle(self, tmp_path, k):
         out = tmp_path / "trace.csv"
         assert main(["trace", "--depth", str(k), "--out", str(out)]) == EXIT_OK
@@ -215,6 +228,15 @@ class TestCertify:
         code = main(["certify", "--spec", spec, "--report", str(report), "--budget", "10"])
         assert code == EXIT_VALIDATION
 
+    def test_overflowing_family_exits_3_naming_member_and_point(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, OVERFLOW_SPEC)
+        report = tmp_path / "r.json"
+        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert "rank" not in captured.out
+        assert "Phi[100,100]" in captured.err and "at sample point (" in captured.err
+        assert not report.exists()
+
     def test_witnesses_carry_exact_rationals(self, tmp_path):
         spec = write_spec(tmp_path, CERTIFY_SPEC)
         report = tmp_path / "r.json"
@@ -297,3 +319,26 @@ class TestSpecValidation:
             tmp_path, {"base": {"construct": "extend_to_line"}, "output": {"format": "xml"}}
         )
         assert main(["eval", "--spec", spec, "--point", "0"]) == EXIT_VALIDATION
+
+
+def test_command_line_runs_without_numpy(tmp_path):
+    readme_spec = {  # the README spec on a grid of 2 per axis
+        "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 2},
+        "family": {"diagonal_exponents": ["1.0", "2.0"], "coefficients": ["1", "-1"]},
+        "certify": {"box": [["-10", "10"]] * 3, "grid": 2, "epsilon": "1e-3"},
+    }
+    spec_path = write_spec(tmp_path, readme_spec)
+    script = (
+        "import sys, surjkit.cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        f"assert surjkit.cli.main(['certify', '--spec', {spec_path!r}, "
+        f"'--report', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        f"assert surjkit.cli.main(['trace', '--depth', '5', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "print(loaded, 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False"

@@ -52,12 +52,20 @@ class TestPhi:
             phi_eval(0.0, 1.0)
         with pytest.raises(DomainError):
             phi_inverse(-2.0, 1.0)
+        for bad in (phi_eval, phi_inverse):
+            with pytest.raises(DomainError):
+                bad(math.nan, 1.0)
 
 
 class TestPhiInverse:
     def test_fixed_point_at_zero(self):
         for r in (0.5, 1.0, 7.0):
             assert phi_inverse(r, 0.0) == 0.0
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, y):
+        with pytest.raises(DomainError):
+            phi_inverse(1.0, y)
 
     def test_round_trip_cross_checked_against_bisection(self):
         t = phi_inverse(3.0, 5.0)
@@ -156,6 +164,14 @@ class TestScalarSolve:
         s = make_scalar_span([(-2.0, 4.0), (5.0, 1.0)])
         t = scalar_solve(s, 1e8, 1e-6)
         assert t < 0  # leading coefficient negative: big values live on the left
+
+    @pytest.mark.parametrize(
+        "y,tol",
+        [(math.nan, 1e-9), (math.inf, 1e-9), (-math.inf, 1e-9), (1.0, math.nan), (1.0, 0.0), (1.0, -1e-9)],
+    )
+    def test_non_finite_target_or_bad_tolerance_rejected(self, y, tol):
+        with pytest.raises(DomainError):
+            scalar_solve(make_scalar_span([(1.0, 1.0)]), y, tol)
 
     def test_zero_span_has_no_solution(self):
         with pytest.raises(NoSolutionError):
