@@ -42,3 +42,12 @@ print("  trailing coordinates:", witness[1:])
 value = evaluate_to_precision(F, witness, 1e-5).value
 print("  forward value:", tuple(round(v, 5) for v in value))
 print("  residual:", max(abs(a - b) for a, b in zip(value, target)))
+
+# Step 4: the same inversion through two lifts. Forward evaluation stays
+# exact through every lift, so one pass of the analytic chain suffices.
+target4 = (1.5, -2.0, 0.75, 3.0)
+witness4 = preimage(h4, target4, 1e-6)
+print(f"\npreimage of {target4} under R -> R^4:")
+print("  t denominator bits:", witness4[0].denominator.bit_length())
+value4 = evaluate_to_precision(h4, witness4, 1e-8).value
+print("  residual:", max(abs(a - b) for a, b in zip(value4, target4)))

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DegenerateMemberError, DomainError, ResourceError, StructuralError
 from .spans import ScalarSpan, VectorSpanMember, scalar_solve
-from .surjections import FunctionExpr, PhiCompose, _refine, compose_with_base, evaluate_at
+from .surjections import FunctionExpr, PhiCompose, _checked_preimage, compose_with_base, evaluate_at
 
 DEFAULT_TARGET_BUDGET = 100_000
 DEFAULT_RANK_TOL = 1e-8
@@ -120,8 +120,8 @@ def certify_surjective_on_box(
     Degenerate span members are rejected outright (they are not
     surjective, so a failed certificate would be misleading). Witnesses
     are stored even on failure so that each can be re-checked by forward
-    evaluation alone. Each witness's residual is the one the preimage
-    search measured when it accepted (or gave up on) that witness.
+    evaluation alone. Each witness's residual is the one the single
+    forward check of the preimage search measured.
     """
     if not isinstance(f, (VectorSpanMember, FunctionExpr)):
         raise DomainError(f"cannot certify an object of type {type(f).__name__}")
@@ -144,9 +144,7 @@ def certify_surjective_on_box(
             point = tuple(scalar_solve(span, y, eps / 2.0) for span, y in zip(spans, target))
             achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
         else:
-            point, achieved = _refine(f, target, eps)
-            if point is None:
-                point = ()
+            point, achieved = _checked_preimage(f, target, eps)
         witnesses.append(Witness(target, point, achieved))
 
     worst = max(witnesses, key=lambda w: w.achieved_error)

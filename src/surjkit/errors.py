@@ -34,9 +34,11 @@ class DegenerateMemberError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Preimage refinement exhausted its budget before reaching the tolerance.
+    """The forward check of a preimage witness measured a residual above
+    the tolerance. Forward evaluation is exact through every curve stage,
+    so this signals a bug rather than a depth to retry with.
 
-    Carries the best witness found and the residual it achieved.
+    Carries the witness and the residual it achieved.
     """
 
     def __init__(self, message: str, best_witness=None, achieved: float | None = None):

@@ -62,6 +62,10 @@ class ScalarSpan:
         total = 0.0
         for alpha, r in self.terms:
             total += alpha * phi_eval(r, t)
+        if total != total and t == t:
+            # nan from a finite t: terms of opposite sign overflowed, and
+            # the largest exponent dominates
+            return math.copysign(math.inf, self.terms[0][0] * t)
         return total
 
     __call__ = value

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .curve import _d2xy, _ratio, hilbert_decode
 from .errors import (
@@ -38,7 +38,6 @@ from .spans import ScalarSpan, VectorSpanMember, scalar_solve
 
 EVAL_DEPTH_CAP = 4096
 DEFAULT_EVAL_DEPTH = 12
-REFINEMENT_DOUBLINGS = 4
 
 Real = Union[int, float, Fraction]
 
@@ -49,10 +48,14 @@ class FunctionExpr:
     domain_arity: int
     codomain_arity: int
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+        """Depth-k values and error estimate; point and values are exact
+        (numerator, denominator) pairs, except that a sinh stage returns
+        (float, 1)."""
         raise NotImplementedError
 
-    def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
+    def _preimage(self, target: tuple, bits: float) -> tuple:
+        """A point whose image lies within 2**-bits of target."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -69,27 +72,25 @@ class PeanoLine(FunctionExpr):
     domain_arity = 1
     codomain_arity = 2
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
-        # t = p/q exactly; every output is one correctly rounded int / int
-        # division, the same float that float(Fraction) gives
-        p, q = _ratio(point[0])
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+        # t = p/q exactly, and so is every output
+        p, q = point[0]
+        if type(p) is float:  # the output of a sinh stage
+            p, q = _ratio(p)
         if p <= 0:
-            return (0.0, 0.0), 0.0
+            return ((0, 1), (0, 1)), 0.0
         i, r = divmod(p, q)
         n = i + 1
         if 2 * r < q:
             # bridge at theta = 2r/q from the previous exit (i, -i), or the
             # origin, to the entry (-n, -n) of B_n
             px, py = (i, -i) if i else (0, 0)
-            return (
-                (px * q + 2 * r * (-n - px)) / q,
-                (py * q + 2 * r * (-n - py)) / q,
-            ), 0.0
+            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), 0.0
         index = ((2 * r - q) << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
         col, row = _d2xy(depth, index)
         side = 1 << depth
         return (
-            (n * (2 * col + 1 - side) / side, n * (2 * row + 1 - side) / side),
+            ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
             float(2 * n) * 2.0 ** (-depth),
         )
 
@@ -102,13 +103,11 @@ class PeanoLine(FunctionExpr):
         curve = 2.0 * n * (math.sqrt(6.0 * min(4.0 * delta, 1.0)) + 2.0 ** (1 - depth))
         return bridge + curve
 
-    def _preimage_with_depth(
-        self, target: tuple, tol: float, depth_scale: int
-    ) -> tuple[tuple[Fraction], int]:
+    def _preimage_with_depth(self, target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
         (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
         n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
-        # half a cell of B_n at depth k stays within tol/2
-        k = max(1, math.ceil(math.log2(4.0 * n / tol))) * depth_scale
+        # half a cell of B_n at depth k stays within 2**-bits / 2
+        k = max(1, math.ceil(math.log2(4 * n) + bits))
         if k > EVAL_DEPTH_CAP:
             raise ResourceError(f"preimage depth {k} exceeds cap {EVAL_DEPTH_CAP}")
         # the target's position in B_n, scaled to the unit square
@@ -118,8 +117,8 @@ class PeanoLine(FunctionExpr):
         t = Fraction(((2 * n - 1) << 2 * u.depth) + u.numerator, 2 << 2 * u.depth)
         return (t,), k
 
-    def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
-        witness, _ = self._preimage_with_depth(target, tol, depth_scale)
+    def _preimage(self, target: tuple, bits: float) -> tuple:
+        witness, _ = self._preimage_with_depth(target, bits)
         return witness
 
     def describe(self) -> str:
@@ -150,23 +149,22 @@ class DimLift(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.inner.codomain_arity + 1
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
         pair = PeanoLine()
-        pair_values, pair_est = pair._eval((values[-1],), depth)
+        last = values[-1]
+        pair_values, pair_est = pair._eval((last,), depth)
         if est > 0.0:
-            pair_est += pair._modulus_at(values[-1], est, depth)
+            pair_est += pair._modulus_at(last[0] / last[1], est, depth)
         return values[:-1] + pair_values, max(est, pair_est)
 
-    def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
-        (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], tol / 6.0, depth_scale)
+    def _preimage(self, target: tuple, bits: float) -> tuple:
+        (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], bits + math.log2(6))
         # keep the inner map within half a parameter interval of the pair's
-        # depth so the pair output moves by at most one cell
-        inner_tol = tol / 2.0
-        if pair_depth < 500:  # below this, 4^-depth underflows; refinement catches the rest
-            inner_tol = min(inner_tol, 0.5 * 4.0 ** (-pair_depth))
-        inner_target = target[:-2] + (s,)
-        return self.inner._preimage(inner_target, inner_tol, depth_scale)
+        # depth so the pair output moves by at most one cell; as pair_depth
+        # exceeds bits, this is also finer than the 2**-(bits + 1) the
+        # inner map's leading coordinates need
+        return self.inner._preimage(target[:-2] + (s,), 2 * pair_depth + 1)
 
     def describe(self) -> str:
         return f"dim_lift({self.inner.describe()})"
@@ -196,11 +194,11 @@ class ProjectLift(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.inner.codomain_arity
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
         return self.inner._eval((point[0],), depth)
 
-    def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
-        (s,) = self.inner._preimage(target, tol, depth_scale)
+    def _preimage(self, target: tuple, bits: float) -> tuple:
+        (s,) = self.inner._preimage(target, bits)
         return (s,) + (0,) * (self.arity - 1)
 
     def describe(self) -> str:
@@ -237,31 +235,30 @@ class PhiCompose(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.member.arity
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple[float, ...], float]:
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
         spans = self.spans
-        out = tuple(span.value(float(v)) for span, v in zip(spans, values))
+        inputs = [p / q for p, q in values]
+        out = tuple((span.value(x), 1) for span, x in zip(spans, inputs))
         if est == 0.0:
             return out, 0.0
         amplified = max(
-            span.derivative_bound(float(v) - est, float(v) + est) * est
-            for span, v in zip(spans, values)
+            span.derivative_bound(x - est, x + est) * est for span, x in zip(spans, inputs)
         )
         return out, amplified
 
-    def _preimage(self, target: tuple, tol: float, depth_scale: int) -> tuple:
+    def _preimage(self, target: tuple, bits: float) -> tuple:
         spans = self.spans
         for j, span in enumerate(spans):
             if span.is_zero:
                 raise DegenerateMemberError(j)
-        solved = tuple(
-            scalar_solve(span, float(y), tol / 2.0) for span, y in zip(spans, target)
-        )
+        half_tol = 2.0 ** -(bits + 1)
+        solved = tuple(scalar_solve(span, float(y), half_tol) for span, y in zip(spans, target))
         lipschitz = max(
             span.derivative_bound(u - 1.0, u + 1.0) for span, u in zip(spans, solved)
         )
-        inner_tol = min(1.0, (tol / 2.0) / lipschitz)
-        return self.inner._preimage(solved, inner_tol, depth_scale)
+        # the inner map within half_tol / lipschitz (and never coarser than 1)
+        return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(lipschitz)))
 
     def describe(self) -> str:
         return f"({self.member.describe()}) o {self.inner.describe()}"
@@ -325,54 +322,41 @@ def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_
         raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
     if depth > EVAL_DEPTH_CAP:
         raise ResourceError(f"depth {depth} exceeds cap {EVAL_DEPTH_CAP}")
-    value, est = expr._eval(point, depth)
-    return EvalResult(value, est)
+    value, est = expr._eval(tuple(map(_ratio, point)), depth)
+    return EvalResult(tuple(p / q for p, q in value), est)
 
 
 def evaluate_to_precision(
     expr: FunctionExpr, point: Sequence[Real], precision: float
 ) -> EvalResult:
-    """Deepen evaluation until the chained error estimate meets precision."""
+    """Deepen evaluation (depth 16, 32, ... up to the cap) until the chained
+    error estimate meets precision."""
+    exact = tuple(map(_ratio, point))
     depth = 16
-    point = tuple(point)
-    for _ in range(12):
-        value, est = expr._eval(point, depth)
+    while depth <= EVAL_DEPTH_CAP:
+        value, est = expr._eval(exact, depth)
         if est <= precision:
-            return EvalResult(value, est)
+            return EvalResult(tuple(p / q for p, q in value), est)
         depth *= 2
-        if depth > EVAL_DEPTH_CAP:
-            break
     raise ResourceError(f"could not reach precision {precision} within the depth cap")
 
 
-def _refine(
+def _checked_preimage(
     expr: FunctionExpr, target: tuple[float, ...], eps: float
-) -> tuple[Optional[tuple], float]:
-    """(best witness, its forward residual) of the analytic chain's search.
-
-    Stops at the first witness whose residual is within eps; otherwise
-    doubles every curve depth, REFINEMENT_DOUBLINGS times, and returns the
-    best witness seen (None if no residual was finite).
-    """
-    best_witness, best_res = None, math.inf
-    scale = 1
-    for _ in range(REFINEMENT_DOUBLINGS + 1):
-        witness = expr._preimage(target, eps / 2.0, scale)
-        result = evaluate_to_precision(expr, witness, eps / 8.0)
-        res = max(abs(v - y) for v, y in zip(result.value, target))
-        if res <= eps:
-            return witness, res
-        if res < best_res:
-            best_witness, best_res = witness, res
-        scale *= 2
-    return best_witness, best_res
+) -> tuple[tuple, float]:
+    """(witness, its forward residual): one inversion of the analytic chain
+    at eps/2, then one forward check at eps/8."""
+    witness = expr._preimage(target, 1.0 - math.log2(eps))
+    value = evaluate_to_precision(expr, witness, eps / 8.0).value
+    return witness, max(abs(v - y) for v, y in zip(value, target))
 
 
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     """A point x with |evaluate_at(expr, x) - target|_inf <= eps.
 
-    The analytic chain inverts each node; a forward check then validates
-    the witness, doubling every curve depth on failure (four retries).
+    The analytic chain inverts each node and one forward check measures
+    the witness's residual; evaluation is exact through every curve stage,
+    so a residual above eps raises RefinementError and means a bug.
     Curve-derived coordinates come back as exact Fractions: composed
     curve chains need more parameter resolution than a float carries.
     """
@@ -385,11 +369,11 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"
         )
-    witness, res = _refine(expr, target, eps)
+    witness, res = _checked_preimage(expr, target, eps)
     if res <= eps:
         return witness
     raise RefinementError(
-        f"residual {res:.3g} > eps {eps:.3g} after {REFINEMENT_DOUBLINGS} depth doublings",
+        f"residual {res:.3g} > eps {eps:.3g} at the forward check",
         best_witness=witness,
         achieved=res,
     )

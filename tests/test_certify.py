@@ -13,6 +13,7 @@ from surjkit import (
     BoxSpec,
     DegenerateMemberError,
     DomainError,
+    PhiCompose,
     ResourceError,
     VectorSpanMember,
     certify_surjective_on_box,
@@ -115,6 +116,15 @@ class TestCoverage:
             calls.append(point)
             return check(expr, point, precision)
 
+        inversions = []
+        invert = PhiCompose._preimage
+
+        def counting_invert(self, target, *args):
+            inversions.append(target)
+            return invert(self, target, *args)
+
+        monkeypatch.setattr(PhiCompose, "_preimage", counting_invert)
+
         # every module of the package that binds the function calls the counter
         for module in list(sys.modules.values()):
             if getattr(module, "evaluate_to_precision", None) is check:
@@ -124,6 +134,7 @@ class TestCoverage:
         cert = certify_surjective_on_box(compose_with_base(member, s23_base()), box, 1e-3)
         assert cert.certified
         assert len(calls) == box.target_count
+        assert len(inversions) == box.target_count
 
     def test_degenerate_member_is_rejected_not_failed(self):
         box = BoxSpec(((-1, 1), (-1, 1)), 3)

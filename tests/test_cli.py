@@ -60,6 +60,15 @@ OVERFLOW_SPEC = {
 }
 
 
+def lift_chain_spec(lifts):
+    """The README family over a base with the given number of dimension lifts."""
+    return {
+        "base": {"construct": "extend_to_line", "lifts": lifts},
+        "family": {"diagonal_exponents": ["1.0", "2.0"], "coefficients": ["1", "-1"]},
+        "certify": {"box": [["-3", "3"]] * (2 + lifts), "grid": 3, "epsilon": "1e-3"},
+    }
+
+
 def write_spec(tmp_path, data, name="pipeline.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -207,6 +216,17 @@ class TestCertify:
         spec = write_spec(tmp_path, CERTIFY_SPEC)
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["certify", "--spec", spec, "--report", str(r1)]) == EXIT_OK
+        assert main(["certify", "--spec", spec, "--report", str(r2)]) == EXIT_OK
+        assert r1.read_bytes() == r2.read_bytes()
+
+    @pytest.mark.parametrize("lifts", [2, 3])
+    def test_lift_chains_certify_reproducibly(self, tmp_path, capsys, lifts):
+        spec = write_spec(tmp_path, lift_chain_spec(lifts))
+        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+        assert main(["certify", "--spec", spec, "--report", str(r1)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "status certified" in out
+        assert "rank 2/2" in out
         assert main(["certify", "--spec", spec, "--report", str(r2)]) == EXIT_OK
         assert r1.read_bytes() == r2.read_bytes()
 

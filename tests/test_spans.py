@@ -97,6 +97,11 @@ class TestScalarSpan:
         t = 0.7
         assert s.value(t) == pytest.approx(1.5 * phi_eval(1.0, t) - 2.0 * phi_eval(3.0, t))
 
+    def test_opposite_overflows_take_the_leading_sign(self):
+        s = make_scalar_span([(1.0, 200.0), (-1.0, 100.0)])
+        assert s.value(8.0) == math.inf
+        assert s.value(-8.0) == -math.inf
+
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(DomainError):
             make_scalar_span([(1.0, -1.0)])

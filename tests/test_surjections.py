@@ -16,6 +16,7 @@ from surjkit import (
     ResourceError,
     StructuralError,
     VectorSpanMember,
+    combine_members,
     compose_with_base,
     evaluate_at,
     evaluate_to_precision,
@@ -172,6 +173,14 @@ class TestEvaluate:
         inner = evaluate_at(F, point, depth=10).value
         assert evaluate_at(pipe, point, depth=10).value == member.value_at(inner)
 
+    def test_lift_reads_a_sinh_stage_as_its_curve_parameter(self):
+        g = extend_to_line()
+        inner = compose_with_base(make_diagonal_family([1.0], 2)[0], g)
+        lifted = lift_dimension(inner)
+        for t in (0.3, 1.7, 3.7):
+            first, last = evaluate_at(inner, (t,), 20).value
+            assert evaluate_at(lifted, (t,), 20).value == (first, *evaluate_at(g, (last,), 20).value)
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(StructuralError):
             evaluate_at(extend_to_line(), (0.5, 0.5))
@@ -268,6 +277,28 @@ class TestPreimage:
             value = evaluate_to_precision(F, witness, 1e-3).value
             assert max(abs(v - y) for v, y in zip(value, target)) <= eps
 
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_single_lift_inverts_a_grid_at_fine_tolerances(self, eps):
+        h = lift_dimension(extend_to_line())
+        for target in grid_targets([(-10, 10)] * 3, 5):
+            witness = preimage(h, target, eps)
+            value = evaluate_to_precision(h, witness, eps / 64).value
+            assert max(abs(v - y) for v, y in zip(value, target)) <= eps
+
+    def test_four_lifts_under_a_member_at_a_deep_pair(self):
+        # the trailing pair of this target is solved at depth 505, so the
+        # inner map is asked for 1,011 bits
+        base = extend_to_line()
+        for _ in range(4):
+            base = lift_dimension(base)
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 6))
+        pipe = compose_with_base(member, base)
+        target = (4.698100818644665, -14.932030697989212, -19.929005511898616,
+                  14.856189788971285, -11.621744700195284, -11.38075323101071)
+        witness = preimage(pipe, target, 1e-12)
+        value = evaluate_to_precision(pipe, witness, 1e-12 / 64).value
+        assert max(abs(v - y) for v, y in zip(value, target)) <= 1e-12
+
     def test_deep_tolerances_still_succeed_thanks_to_exact_witnesses(self):
         # the decoded parameter is an exact rational, so the forward value
         # eventually coincides with the float target bit for bit
@@ -277,11 +308,12 @@ class TestPreimage:
         assert value == (0.5, 0.5)
 
 
-def fraction_peano_eval(t, depth):
-    """Reference for PeanoLine._eval, in Fraction arithmetic."""
+def fraction_peano_point(t, depth):
+    """Reference for the depth-k line-to-plane map in Fraction arithmetic:
+    the exact point, and the error estimate."""
     t = Fraction(t)
     if t <= 0:
-        return (0.0, 0.0), 0.0
+        return (Fraction(0), Fraction(0)), 0.0
     i = math.floor(t)
     frac = t - i
     n = i + 1
@@ -289,20 +321,33 @@ def fraction_peano_eval(t, depth):
         px, py = (Fraction(0), Fraction(0)) if i == 0 else (Fraction(i), Fraction(-i))
         qx, qy = Fraction(-n), Fraction(-n)
         theta = 2 * frac
-        return (float(px + theta * (qx - px)), float(py + theta * (qy - py))), 0.0
+        return (px + theta * (qx - px), py + theta * (qy - py)), 0.0
     index = math.floor((2 * frac - 1) * 4**depth)
     col, row = _d2xy(depth, index)
     denom = 1 << (depth + 1)
     x = Fraction(2 * n) * Fraction(2 * col + 1, denom) - n
     y = Fraction(2 * n) * Fraction(2 * row + 1, denom) - n
-    return (float(x), float(y)), float(2 * n) * 2.0 ** (-depth)
+    return (x, y), float(2 * n) * 2.0 ** (-depth)
 
 
-def fraction_peano_preimage(target, tol, depth_scale):
+def fraction_peano_eval(t, depth):
+    """Reference for evaluate_at(PeanoLine(), ...), in Fraction arithmetic."""
+    (x, y), est = fraction_peano_point(t, depth)
+    return (float(x), float(y)), est
+
+
+def fraction_lift_eval(t, depth):
+    """Reference for lift_dimension(extend_to_line()) at depth k: the
+    trailing curve reads the inner map's last coordinate exactly."""
+    (x, y), _ = fraction_peano_point(t, depth)
+    return (x, *fraction_peano_point(y, depth)[0])
+
+
+def fraction_peano_preimage(target, bits):
     """Reference for PeanoLine._preimage, in Fraction arithmetic."""
     a, b = Fraction(target[0]), Fraction(target[1])
     n = max(1, math.ceil(max(abs(a), abs(b))))
-    k = max(1, math.ceil(math.log2(4.0 * n / tol))) * depth_scale
+    k = max(1, math.ceil(math.log2(4 * n) + bits))
     u = hilbert_decode(((a + n) / (2 * n), (b + n) / (2 * n)), k).value
     return (Fraction(2 * n - 1, 2) + u / 2,)
 
@@ -319,10 +364,10 @@ reals = st.one_of(
 
 @given(t=reals, depth=st.integers(min_value=1, max_value=80))
 def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
-    values, est = PeanoLine()._eval((t,), depth)
+    result = evaluate_at(PeanoLine(), (t,), depth)
     want, want_est = fraction_peano_eval(t, depth)
-    assert float_bits(values) == float_bits(want)
-    assert est.hex() == want_est.hex()
+    assert float_bits(result.value) == float_bits(want)
+    assert result.error_estimate.hex() == want_est.hex()
 
 
 @given(
@@ -331,12 +376,25 @@ def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
         st.one_of(st.floats(min_value=-20.0, max_value=20.0), st.fractions(-20, 20)),
     ),
     tol=st.floats(min_value=1e-12, max_value=1.0),
-    depth_scale=st.sampled_from([1, 2]),
 )
-def test_integer_preimage_matches_fraction_decode(target, tol, depth_scale):
-    witness = PeanoLine()._preimage(target, tol, depth_scale)
-    assert witness == fraction_peano_preimage(target, tol, depth_scale)
+def test_integer_preimage_matches_fraction_decode(target, tol):
+    bits = -math.log2(tol)
+    witness = PeanoLine()._preimage(target, bits)
+    assert witness == fraction_peano_preimage(target, bits)
     assert type(witness[0]) is Fraction
+
+
+@pytest.mark.parametrize("depth", [64, 128])
+def test_error_estimate_bounds_the_deep_lift_error(depth):
+    h = lift_dimension(extend_to_line())
+    rng = random.Random(43)
+    for _ in range(100):
+        target = tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
+        witness = preimage(h, target, 1e-8)
+        result = evaluate_at(h, witness, depth)
+        deep = fraction_lift_eval(witness[0], 2 * depth)
+        gap = max(abs(v - float(x)) for v, x in zip(result.value, deep))
+        assert gap <= result.error_estimate + 1e-12
 
 
 class TestSerialization:
