@@ -1,9 +1,10 @@
 """Numerical certificates: box coverage, degeneracy, and independence ranks.
 
 A coverage certificate records, for every grid target of a compact box,
-a preimage witness and the residual it achieves under forward evaluation;
-the certificate is sound exactly when every residual can be reproduced by
-forward evaluation alone. Independence reports give the numerical rank of
+a preimage witness and its residual under the limit map, evaluated exactly
+at the dyadic witness up to a sinh stage's float rounding; the certificate
+is sound exactly when every residual can be reproduced by forward
+evaluation alone. Independence reports give the numerical rank of
 a finite family's evaluation matrix under pivoted elimination.
 """
 
@@ -14,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .errors import DegenerateMemberError, DomainError, ResourceError, StructuralError
+from .errors import (
+    DegenerateMemberError, DomainError, NoSolutionError, ResourceError, StructuralError
+)
 from .spans import ScalarSpan, VectorSpanMember, scalar_solve
 from .surjections import FunctionExpr, PhiCompose, _checked_preimage, compose_with_base, evaluate_at
 
@@ -121,7 +124,8 @@ def certify_surjective_on_box(
     surjective, so a failed certificate would be misleading). Witnesses
     are stored even on failure so that each can be re-checked by forward
     evaluation alone. Each witness's residual is the one the single
-    forward check of the preimage search measured.
+    forward check of the preimage search measured. Per-target cap and
+    no-solution errors re-raise prefixed with the target.
     """
     if not isinstance(f, (VectorSpanMember, FunctionExpr)):
         raise DomainError(f"cannot certify an object of type {type(f).__name__}")
@@ -140,11 +144,14 @@ def certify_surjective_on_box(
 
     witnesses = []
     for target in box.targets():
-        if spans is not None:
-            point = tuple(scalar_solve(span, y, eps / 2.0) for span, y in zip(spans, target))
-            achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
-        else:
-            point, achieved = _checked_preimage(f, target, eps)
+        try:
+            if spans is not None:
+                point = tuple(scalar_solve(span, y, eps / 2.0) for span, y in zip(spans, target))
+                achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
+            else:
+                point, achieved = _checked_preimage(f, target, eps)
+        except (ResourceError, NoSolutionError) as err:
+            raise type(err)(f"target {target}: {err}") from err
         witnesses.append(Witness(target, point, achieved))
 
     worst = max(witnesses, key=lambda w: w.achieved_error)

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, NoSolutionError, ResourceError
 
 BRACKET_CAP = 2.0**60
+_NEWTON_STEPS = 8
 
 
 def phi_eval(r: float, t: float) -> float:
@@ -81,6 +82,13 @@ class ScalarSpan:
                 return math.inf
         return total
 
+    def _slope(self, t: float) -> float:
+        """The exact derivative sum(alpha * r * 2cosh(r t)); overflow reads as nan."""
+        try:
+            return sum(alpha * r * 2.0 * math.cosh(r * t) for alpha, r in self.terms)
+        except OverflowError:
+            return math.nan
+
     def scaled(self, factor: float) -> "ScalarSpan":
         return make_scalar_span([(factor * a, r) for a, r in self.terms])
 
@@ -138,15 +146,28 @@ def classify_asymptotics(s: ScalarSpan) -> Asymptotics:
 
 
 def scalar_solve(s: ScalarSpan, y: float, tol: float) -> float:
-    """Some t with |s(t) - y| <= tol, by asymptotics-guided bracketing + bisection."""
+    """Some t with |s(t) - y| <= tol: Newton from the leading term's inverse,
+    falling back to asymptotics-guided bracketing and bisection when an
+    iterate leaves the bracket cap, a value or slope is not finite, or the
+    steps do not converge (Press et al., Numerical Recipes, section 9.4)."""
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if not math.isfinite(y):
         raise DomainError(f"target must be finite, got {y}")
     if s.is_zero:
         raise NoSolutionError("cannot solve against the zero span")
-    if abs(s.value(0.0) - y) <= tol:
-        return 0.0
+    alpha1, r1 = s.leading
+    t = math.asinh(y / (2.0 * alpha1)) / r1
+    for _ in range(_NEWTON_STEPS):
+        if not abs(t) <= BRACKET_CAP:
+            break
+        f = s.value(t) - y
+        if abs(f) <= tol:
+            return t
+        slope = s._slope(t)
+        if not (math.isfinite(f) and math.isfinite(slope) and slope):
+            break
+        t -= f / slope
 
     asym = classify_asymptotics(s)
     positive_side = 1.0 if asym.at_plus_infinity > 0 else -1.0

@@ -16,7 +16,8 @@ compose_with_base  applies a vector span member after a base surjection;
 evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
 rational parameter coordinates (floats cannot carry the depth a composed
-curve chain needs).
+curve chain needs), and checks each witness by evaluating the limit map
+exactly at it.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class FunctionExpr:
         (float, 1)."""
         raise NotImplementedError
 
+    def _limit(self, point: tuple) -> tuple:
+        """Values of the limit map at a dyadic point, in the pairs of _eval."""
+        raise NotImplementedError
+
     def _preimage(self, target: tuple, bits: float) -> tuple:
         """A point whose image lies within 2**-bits of target."""
         raise NotImplementedError
@@ -72,27 +77,51 @@ class PeanoLine(FunctionExpr):
     domain_arity = 1
     codomain_arity = 2
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
-        # t = p/q exactly, and so is every output
+    @staticmethod
+    def _segment(point: tuple) -> tuple:
+        """(values, None) for t <= 0 or a bridge, else (None, (n, u, q)) for the
+        curve parameter u/q in [0, 1) over B_n; t = p/q and values are exact."""
         p, q = point[0]
         if type(p) is float:  # the output of a sinh stage
             p, q = _ratio(p)
         if p <= 0:
-            return ((0, 1), (0, 1)), 0.0
+            return ((0, 1), (0, 1)), None
         i, r = divmod(p, q)
         n = i + 1
         if 2 * r < q:
             # bridge at theta = 2r/q from the previous exit (i, -i), or the
             # origin, to the entry (-n, -n) of B_n
             px, py = (i, -i) if i else (0, 0)
-            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), 0.0
-        index = ((2 * r - q) << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
+            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), None
+        return None, (n, 2 * r - q, q)
+
+    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+        values, curve = self._segment(point)
+        if curve is None:
+            return values, 0.0
+        n, u, q = curve
+        index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
         col, row = _d2xy(depth, index)
         side = 1 << depth
         return (
             ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
             float(2 * n) * 2.0 ** (-depth),
         )
+
+    def _limit(self, point: tuple) -> tuple:
+        values, curve = self._segment(point)
+        if curve is None:
+            return values
+        n, u, q = curve
+        e = q.bit_length() - 1
+        if q != 1 << e:
+            raise DomainError("the limit map is evaluated at dyadic parameters only")
+        d = (e + 1) >> 1
+        index = (u << 2 * d) // q  # exact: the parameter is index / 4^d
+        # the entry corner of cell index: 2 center(d + 1, 4 index) - center(d, index)
+        col, row = _d2xy(d + 1, index << 2)
+        x, y, side = col - (col >> 1), row - (row >> 1), 1 << d
+        return (n * (2 * x - side), side), (n * (2 * y - side), side)
 
     def _modulus_at(self, t: float, delta: float, depth: int) -> float:
         """Bound on output movement over [t - delta, t + delta]."""
@@ -158,6 +187,10 @@ class DimLift(FunctionExpr):
             pair_est += pair._modulus_at(last[0] / last[1], est, depth)
         return values[:-1] + pair_values, max(est, pair_est)
 
+    def _limit(self, point: tuple) -> tuple:
+        values = self.inner._limit(point)
+        return values[:-1] + PeanoLine()._limit(values[-1:])
+
     def _preimage(self, target: tuple, bits: float) -> tuple:
         (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], bits + math.log2(6))
         # keep the inner map within half a parameter interval of the pair's
@@ -196,6 +229,9 @@ class ProjectLift(FunctionExpr):
 
     def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
         return self.inner._eval((point[0],), depth)
+
+    def _limit(self, point: tuple) -> tuple:
+        return self.inner._limit(point[:1])
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         (s,) = self.inner._preimage(target, bits)
@@ -246,6 +282,10 @@ class PhiCompose(FunctionExpr):
             span.derivative_bound(x - est, x + est) * est for span, x in zip(spans, inputs)
         )
         return out, amplified
+
+    def _limit(self, point: tuple) -> tuple:
+        values = self.inner._limit(point)
+        return tuple((span.value(p / q), 1) for span, (p, q) in zip(self.spans, values))
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         spans = self.spans
@@ -345,18 +385,20 @@ def _checked_preimage(
     expr: FunctionExpr, target: tuple[float, ...], eps: float
 ) -> tuple[tuple, float]:
     """(witness, its forward residual): one inversion of the analytic chain
-    at eps/2, then one forward check at eps/8."""
+    at eps/2, then one forward check that evaluates the limit map exactly
+    at the dyadic witness (up to the float rounding of a sinh stage)."""
     witness = expr._preimage(target, 1.0 - math.log2(eps))
-    value = evaluate_to_precision(expr, witness, eps / 8.0).value
-    return witness, max(abs(v - y) for v, y in zip(value, target))
+    value = expr._limit(tuple(map(_ratio, witness)))
+    return witness, max(abs(p / q - y) for (p, q), y in zip(value, target))
 
 
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
-    """A point x with |evaluate_at(expr, x) - target|_inf <= eps.
+    """A point x whose image under the limit map is within eps of target (sup norm).
 
     The analytic chain inverts each node and one forward check measures
-    the witness's residual; evaluation is exact through every curve stage,
-    so a residual above eps raises RefinementError and means a bug.
+    the witness's residual under the limit map, exactly through every
+    curve stage, so a residual above eps raises RefinementError and means
+    a bug.
     Curve-derived coordinates come back as exact Fractions: composed
     curve chains need more parameter resolution than a float carries.
     """

@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -109,12 +108,13 @@ class TestCoverage:
             assert redone <= max(2 * w.achieved_error, 2 * eps)
 
     def test_one_forward_check_per_target(self, monkeypatch):
+        # the forward check is one limit-map evaluation of the whole pipeline
         calls = []
-        check = surjkit.surjections.evaluate_to_precision
+        check = PhiCompose._limit
 
-        def counting_check(expr, point, precision):
+        def counting_check(self, point):
             calls.append(point)
-            return check(expr, point, precision)
+            return check(self, point)
 
         inversions = []
         invert = PhiCompose._preimage
@@ -124,17 +124,31 @@ class TestCoverage:
             return invert(self, target, *args)
 
         monkeypatch.setattr(PhiCompose, "_preimage", counting_invert)
-
-        # every module of the package that binds the function calls the counter
-        for module in list(sys.modules.values()):
-            if getattr(module, "evaluate_to_precision", None) is check:
-                monkeypatch.setattr(module, "evaluate_to_precision", counting_check)
+        monkeypatch.setattr(PhiCompose, "_limit", counting_check)
         member = make_diagonal_family([1.0], 3)[0]
         box = BoxSpec(((-6, 6),) * 3, 3)
         cert = certify_surjective_on_box(compose_with_base(member, s23_base()), box, 1e-3)
         assert cert.certified
         assert len(calls) == box.target_count
         assert len(inversions) == box.target_count
+
+    @pytest.mark.parametrize("lifts,walks", [(0, 1), (1, 2)])
+    def test_one_curve_walk_per_curve_stage_per_target(self, monkeypatch, lifts, walks):
+        calls = []
+        walk = surjkit.surjections._d2xy
+
+        def counting_walk(k, d):
+            calls.append(k)
+            return walk(k, d)
+
+        monkeypatch.setattr(surjkit.surjections, "_d2xy", counting_walk)
+        base = lift_dimension(extend_to_line()) if lifts else extend_to_line()
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], base.codomain_arity))
+        for expr in (base, compose_with_base(member, base)):
+            calls.clear()
+            box = BoxSpec(((-3, 3),) * expr.codomain_arity, 3)
+            assert certify_surjective_on_box(expr, box, 1e-3).certified
+            assert len(calls) == walks * box.target_count
 
     def test_degenerate_member_is_rejected_not_failed(self):
         box = BoxSpec(((-1, 1), (-1, 1)), 3)

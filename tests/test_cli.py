@@ -257,6 +257,19 @@ class TestCertify:
         assert "Phi[100,100]" in captured.err and "at sample point (" in captured.err
         assert not report.exists()
 
+    def test_resource_failure_exits_3_naming_the_target(self, tmp_path, capsys):
+        # the bare lift chain at eps 1e-200 needs a curve depth above the cap
+        data = {
+            "base": {"construct": "extend_to_line", "lifts": 3},
+            "certify": {"box": [["-3", "3"]] * 5, "grid": 2, "epsilon": "1e-200"},
+        }
+        spec = write_spec(tmp_path, data)
+        report = tmp_path / "r.json"
+        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert "target (-3.0, -3.0, -3.0, -3.0, -3.0): preimage depth" in err
+        assert not report.exists()
+
     def test_witnesses_carry_exact_rationals(self, tmp_path):
         spec = write_spec(tmp_path, CERTIFY_SPEC)
         report = tmp_path / "r.json"

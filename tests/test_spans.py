@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import surjkit.spans
 from surjkit import (
     DomainError,
     NoSolutionError,
@@ -17,6 +18,7 @@ from surjkit import (
     phi_eval,
     phi_inverse,
     scalar_solve,
+    ScalarSpan,
     VectorSpanMember,
 )
 from oracles import bisect_solve
@@ -210,6 +212,40 @@ class TestScalarSolve:
             t_oracle = bisect_solve(s.value, y, -20.0, 20.0, 1e-11)
             assert s.value(t_oracle) == pytest.approx(y, abs=1e-10)
             assert s.value(t) == pytest.approx(y, abs=1e-10)
+
+    def test_newton_needs_few_span_evaluations(self, monkeypatch):
+        calls = []
+        value = ScalarSpan.value
+
+        def counting_value(self, t):
+            calls.append(t)
+            return value(self, t)
+
+        monkeypatch.setattr(ScalarSpan, "value", counting_value)
+        s = make_scalar_span([(1.0, 1.0), (-1.0, 2.0)])
+        rng = random.Random(11)
+        solves = 4000
+        for _ in range(solves):
+            y = rng.uniform(-10.0, 10.0)
+            t = scalar_solve(s, y, 5e-4)
+            assert abs(value(s, t) - y) <= 5e-4
+        # plain bisection needs about 18.6 evaluations per solve here
+        assert len(calls) < 5 * solves
+
+    @pytest.mark.parametrize("y", [1.0, 2.0, 3.0])
+    def test_non_monotone_span_solves_through_the_fallback(self, monkeypatch, y):
+        calls = []
+        value = ScalarSpan.value
+
+        def counting_value(self, t):
+            calls.append(t)
+            return value(self, t)
+
+        monkeypatch.setattr(ScalarSpan, "value", counting_value)
+        s = make_scalar_span([(1.0, 2.0), (-3.0, 1.0)])  # phi_2 - 3 phi_1
+        t = scalar_solve(s, y, 1e-9)
+        assert abs(value(s, t) - y) <= 1e-9
+        assert len(calls) > surjkit.spans._NEWTON_STEPS  # Newton gave up, bisection solved
 
 
 class TestVectorMembers:

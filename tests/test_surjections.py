@@ -29,8 +29,8 @@ from surjkit import (
     preimage,
     project_lift,
 )
-from surjkit.curve import _d2xy
-from oracles import covered_targets, line_map_points, sweep_plane_cloud
+from surjkit.curve import _d2xy, _ratio
+from oracles import covered_targets, line_map_points, recursion_centers, sweep_plane_cloud
 
 
 def grid_targets(bounds, count):
@@ -395,6 +395,74 @@ def test_error_estimate_bounds_the_deep_lift_error(depth):
         deep = fraction_lift_eval(witness[0], 2 * depth)
         gap = max(abs(v - float(x)) for v, x in zip(result.value, deep))
         assert gap <= result.error_estimate + 1e-12
+
+
+def limit_values(expr, point):
+    return tuple(p / q for p, q in expr._limit(tuple(map(_ratio, point))))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_limit_on_the_curve_is_the_entry_corner_of_the_cell(n):
+    # at t = (2n - 1)/2 + i / (2 * 4^k) the curve parameter is i / 4^k
+    for k in range(7):
+        fine, coarse = recursion_centers(k + 1), recursion_centers(k)
+        for i in range(4**k):
+            corner = 2.0 * fine[4 * i] - coarse[i]
+            t = Fraction(2 * n - 1, 2) + Fraction(i, 2 * 4**k)
+            assert limit_values(PeanoLine(), (t,)) == tuple(n * (2.0 * c - 1.0) for c in corner)
+
+
+def test_limit_rejects_a_parameter_that_is_not_dyadic():
+    with pytest.raises(DomainError):
+        limit_values(PeanoLine(), (Fraction(2, 3),))
+
+
+def limit_pipelines():
+    base, pipes = extend_to_line(), []
+    for _ in range(3):
+        pipes.append(base)
+        base = lift_dimension(base)
+    member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 3))
+    return pipes + [compose_with_base(member, pipes[1])]
+
+
+LIMIT_PIPELINES = limit_pipelines()
+
+dyadics = st.integers(min_value=0, max_value=60).flatmap(
+    lambda k: st.integers(min_value=-(2**k), max_value=5 * 2**k).map(lambda a: Fraction(a, 2**k))
+)
+
+
+@given(
+    expr=st.sampled_from(LIMIT_PIPELINES),
+    t=dyadics,
+    depth=st.sampled_from([64, 128]),
+)
+def test_limit_is_within_the_error_estimate_of_deep_approximants(expr, t, depth):
+    result = evaluate_at(expr, (t,), depth)
+    limit = limit_values(expr, (t,))
+    assert max(abs(a - b) for a, b in zip(limit, result.value)) <= result.error_estimate
+
+
+def test_limit_checked_witnesses_recheck_within_eps():
+    # lifts 0-4 under three pipeline shapes, four tolerances, 40 targets each:
+    # every witness, checked by the limit map, re-evaluates within eps
+    rng = random.Random(5)
+    cases = 0
+    for lifts in range(5):
+        base = extend_to_line()
+        for _ in range(lifts):
+            base = lift_dimension(base)
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], base.codomain_arity))
+        for expr in (base, compose_with_base(member, base), project_lift(base, 3)):
+            for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+                for _ in range(40):
+                    target = tuple(rng.uniform(-10.0, 10.0) for _ in range(expr.codomain_arity))
+                    witness = preimage(expr, target, eps)
+                    value = evaluate_to_precision(expr, witness, eps / 64).value
+                    assert max(abs(v - y) for v, y in zip(value, target)) <= eps
+                    cases += 1
+    assert cases == 2400
 
 
 class TestSerialization:
