@@ -25,6 +25,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .certify import (
@@ -261,29 +262,63 @@ def parse_spec_file(path: str) -> SpecFile:
 # report serialization
 
 
-def _witness_json(w) -> dict:
-    return {
-        "target": [format_real(x) for x in w.target],
-        "preimage_decimal": [format_real(float(x)) for x in w.preimage],
-        "preimage_exact": [exact_string(x) for x in w.preimage],
-        "achieved_error": format_real(w.achieved_error),
-    }
+def _block(value, level: int) -> str:
+    """value as json.dump(..., indent=2, sort_keys=True) writes it at a nesting level."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
-def certificate_json(cert: CoverageCertificate) -> dict:
-    return {
-        "function": cert.function_id,
-        "box": {
-            "bounds": [[format_real(lo), format_real(hi)] for lo, hi in cert.box.bounds],
-            "grid_points": cert.box.grid_points,
-        },
-        "epsilon": format_real(cert.epsilon),
-        "status": cert.status,
-        "worst_target": None
-        if cert.worst_target is None
-        else [format_real(x) for x in cert.worst_target],
-        "witnesses": [_witness_json(w) for w in cert.witnesses],
+def _write_report(
+    fh,
+    cert: CoverageCertificate,
+    independence: Optional[IndependenceReport],
+    settings: dict,
+) -> None:
+    """The report, byte for byte as json.dump(..., indent=2, sort_keys=True)
+    writes it, streamed one witness at a time so that no whole-report
+    string or per-witness dict is built.
+
+    Every value is a string, int, bool or null; the reals are written by
+    format_real and exact_string, which need no escaping. A witness's lists
+    are never empty: a target has the box's arity and a preimage the
+    pipeline's domain arity.
+    """
+    box = {
+        "bounds": [[format_real(lo), format_real(hi)] for lo, hi in cert.box.bounds],
+        "grid_points": cert.box.grid_points,
     }
+    worst = None if cert.worst_target is None else [format_real(x) for x in cert.worst_target]
+    fh.write(
+        '{\n  "certificate": {\n'
+        f'    "box": {_block(box, 2)},\n'
+        f'    "epsilon": "{format_real(cert.epsilon)}",\n'
+        f'    "function": {encode_basestring_ascii(cert.function_id)},\n'
+        f'    "status": {encode_basestring_ascii(cert.status)},\n'
+        '    "witnesses": ['
+    )
+    sep, lead = '",\n          "', "\n"
+    for w in cert.witnesses:
+        fh.write(
+            f'{lead}      {{\n'
+            f'        "achieved_error": "{format_real(w.achieved_error)}",\n'
+            f'        "preimage_decimal": [\n'
+            f'          "{sep.join([format_real(float(x)) for x in w.preimage])}"\n'
+            f'        ],\n'
+            f'        "preimage_exact": [\n'
+            f'          "{sep.join([exact_string(x) for x in w.preimage])}"\n'
+            f'        ],\n'
+            f'        "target": [\n'
+            f'          "{sep.join([format_real(x) for x in w.target])}"\n'
+            f'        ]\n'
+            f'      }}'
+        )
+        lead = ",\n"
+    fh.write(
+        ("\n    ]" if cert.witnesses else "]")
+        + f',\n    "worst_target": {_block(worst, 2)}\n  }},\n'
+        f'  "independence": '
+        f'{_block(None if independence is None else independence_json(independence), 1)},\n'
+        f'  "settings": {_block(settings, 1)}\n}}\n'
+    )
 
 
 def independence_json(report: IndependenceReport) -> dict:
@@ -348,14 +383,8 @@ def cmd_certify(args) -> int:
         points = _sample_points(len(composed), base.domain_arity, args.seed)
         independence = independence_report(composed, points)
 
-    report = {
-        "certificate": certificate_json(certificate),
-        "independence": None if independence is None else independence_json(independence),
-        "settings": {"budget": args.budget, "seed": args.seed},
-    }
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _write_report(fh, certificate, independence, {"budget": args.budget, "seed": args.seed})
 
     ok = certificate.certified and (independence is None or independence.full_rank)
     print(f"status {certificate.status}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .curve import _d2xy, _ratio, hilbert_decode
+from .curve import _d2xy, _ratio, _xy2d
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -139,12 +139,13 @@ class PeanoLine(FunctionExpr):
         k = max(1, math.ceil(math.log2(4 * n) + bits))
         if k > EVAL_DEPTH_CAP:
             raise ResourceError(f"preimage depth {k} exceeds cap {EVAL_DEPTH_CAP}")
-        # the target's position in B_n, scaled to the unit square
-        unit = (Fraction(pa + n * qa, 2 * n * qa), Fraction(pb + n * qb, 2 * n * qb))
-        u = hilbert_decode(unit, k)
-        # t = (2n - 1)/2 + u/2
-        t = Fraction(((2 * n - 1) << 2 * u.depth) + u.numerator, 2 << 2 * u.depth)
-        return (t,), k
+        # the depth-k cell of the target's position (p + n q) / (2 n q) in the
+        # unit square: column ceil(x 2^k) - 1, ties to the lower left as in
+        # curve.cell_of
+        col = max(-((-(pa + n * qa) << k) // (2 * n * qa)) - 1, 0)
+        row = max(-((-(pb + n * qb) << k) // (2 * n * qb)) - 1, 0)
+        # t = (2n - 1)/2 + index / (2 * 4^k)
+        return (Fraction(((2 * n - 1) << 2 * k) + _xy2d(k, col, row), 2 << 2 * k),), k
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         witness, _ = self._preimage_with_depth(target, bits)
@@ -371,6 +372,11 @@ def evaluate_to_precision(
 ) -> EvalResult:
     """Deepen evaluation (depth 16, 32, ... up to the cap) until the chained
     error estimate meets precision."""
+    if not 0 < precision < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {precision}")
+    point = tuple(point)
+    if len(point) != expr.domain_arity:
+        raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
     exact = tuple(map(_ratio, point))
     depth = 16
     while depth <= EVAL_DEPTH_CAP:

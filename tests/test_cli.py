@@ -3,20 +3,23 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from surjkit import curve_trace
+from surjkit import BoxSpec, CoverageCertificate, IndependenceReport, Witness, curve_trace
 from surjkit.curve import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    _write_report,
     dyadic_decimal,
     main,
 )
@@ -57,6 +60,30 @@ OVERFLOW_SPEC = {
     "base": {"construct": "extend_to_line", "lifts": 0},
     "family": {"diagonal_exponents": ["100.0", "200.0"], "coefficients": ["1", "1"]},
     "certify": {"box": [["-1", "1"], ["-1", "1"]], "grid": 2, "epsilon": "1e-3"},
+}
+
+
+README_SPEC = {
+    "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 2},
+    "family": {"diagonal_exponents": ["1.0", "2.0"], "coefficients": ["1", "-1"]},
+    "certify": {"box": [["-10", "10"]] * 3, "grid": 11, "epsilon": "1e-3"},
+    "output": {"format": "json"},
+}
+
+BARE_CURVE_SPEC = {
+    "base": {"construct": "extend_to_line"},
+    "certify": {"box": [["-100.25", "99.75"], ["-99.5", "100.5"]], "grid": 9, "epsilon": "1e-9"},
+}
+
+TERMS_SPEC = {
+    "base": {"construct": "extend_to_line", "project_to": 2},
+    "family": {
+        "terms": [
+            {"coefficient": "1", "exponents": ["1", "2"]},
+            {"coefficient": "-0.5", "exponents": ["2", "1"]},
+        ]
+    },
+    "certify": {"box": [["-5", "5"], ["-5", "5"]], "grid": 5, "epsilon": "1e-6"},
 }
 
 
@@ -277,6 +304,97 @@ class TestCertify:
         data = json.loads(report.read_text())
         exact = data["certificate"]["witnesses"][0]["preimage_exact"]
         assert any("/" in coordinate for coordinate in exact)
+
+
+def json_dump_form(text):
+    """text as json.dump(..., indent=2, sort_keys=True) writes the data it holds.
+
+    Reports hold only strings, ints, bools and nulls, so this identity is
+    exactly that format."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def written_report(tmp_path, cert, independence=None, settings=None):
+    path = tmp_path / "direct.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_report(fh, cert, independence, settings or {"budget": 7, "seed": None})
+    return path.read_text(encoding="utf-8")
+
+
+def hand_built_certificate(witnesses, status="certified", worst_target=None):
+    return CoverageCertificate(
+        function_id='peano "line" \\ \u00e9',
+        box=BoxSpec(((-1.0, 1.0), (-2.5, 2.5)), 3),
+        epsilon=1e-3,
+        witnesses=tuple(witnesses),
+        status=status,
+        worst_target=worst_target,
+    )
+
+
+class TestReportFormat:
+    @pytest.mark.parametrize(
+        "spec,extra",
+        [
+            (README_SPEC, []),
+            (README_SPEC, ["--seed", "7"]),
+            (BARE_CURVE_SPEC, []),
+            (TERMS_SPEC, []),
+        ],
+        ids=["readme", "readme-seed-7", "bare-curve", "terms"],
+    )
+    def test_reports_are_the_indented_sorted_json_dump(self, tmp_path, spec, extra):
+        report = tmp_path / "r.json"
+        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report), *extra]
+        assert main(argv) == EXIT_OK
+        text = report.read_text(encoding="utf-8")
+        assert text == json_dump_form(text)
+        if spec is TERMS_SPEC:
+            assert json.loads(text)["independence"] is None
+
+    def test_failed_certificate_with_a_worst_target(self, tmp_path):
+        witnesses = [
+            Witness((-1.0, 2.5), (Fraction(7, 3), 0), 0.25),
+            Witness((0.0, -2.5), (Fraction(-1, 2**70), 5), 1e-300),
+        ]
+        cert = hand_built_certificate(witnesses, "failed", (-1.0, 2.5))
+        text = written_report(tmp_path, cert, settings={"budget": 7, "seed": 3})
+        assert text == json_dump_form(text)
+        data = json.loads(text)["certificate"]
+        assert data["function"] == cert.function_id
+        assert data["worst_target"] == ["-1", "2.5"]
+        assert data["witnesses"][1]["preimage_exact"] == [f"-1/{2**70}", "5"]
+
+    def test_empty_witness_list_and_pivot_ratios(self, tmp_path):
+        independence = IndependenceReport(
+            family=("a", "b"), points=(), matrix_shape=(0, 2), rank=0, tolerance=1e-8
+        )
+        text = written_report(tmp_path, hand_built_certificate([]), independence)
+        assert text == json_dump_form(text)
+        assert '"witnesses": [],' in text
+        assert '"pivot_ratios": [],' in text
+
+    def test_report_memory_does_not_grow_with_the_grid(self, tmp_path):
+        rng = random.Random(11)
+        witnesses = [
+            Witness(
+                (rng.uniform(-100, 100), rng.uniform(-100, 100)),
+                (Fraction(rng.getrandbits(72), 1 << 67),),
+                rng.uniform(0, 1e-9),
+            )
+            for _ in range(61 * 61)
+        ]
+        cert = hand_built_certificate(witnesses)
+        with open(tmp_path / "r.json", "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                _write_report(fh, cert, None, {"budget": 100000, "seed": None})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        assert text == json_dump_form(text)
 
 
 class TestSpecValidation:

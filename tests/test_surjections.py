@@ -184,6 +184,8 @@ class TestEvaluate:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(StructuralError):
             evaluate_at(extend_to_line(), (0.5, 0.5))
+        with pytest.raises(StructuralError):
+            evaluate_to_precision(extend_to_line(), (1.3, 2.0), 1e-3)
 
     def test_depth_cap(self):
         with pytest.raises(ResourceError):
@@ -200,6 +202,9 @@ class TestEvaluate:
                 preimage(g, (bad, 0.0), 1e-3)
             with pytest.raises(DomainError):
                 preimage(g, (0.0, 0.0), bad)
+        for bad in (math.nan, 0.0, -1e-3, math.inf):
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                evaluate_to_precision(g, (1.3,), bad)
 
     def test_phi_compose_reduces_its_member_once(self, monkeypatch):
         calls = []
@@ -382,6 +387,43 @@ def test_integer_preimage_matches_fraction_decode(target, tol):
     witness = PeanoLine()._preimage(target, bits)
     assert witness == fraction_peano_preimage(target, bits)
     assert type(witness[0]) is Fraction
+
+
+def decode_route_preimage(target, bits):
+    """Reference for PeanoLine._preimage_with_depth through the public codec:
+    hilbert_decode of the target's position in the unit square, as t."""
+    (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
+    n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
+    k = max(1, math.ceil(math.log2(4 * n) + bits))
+    u = hilbert_decode((Fraction(pa + n * qa, 2 * n * qa), Fraction(pb + n * qb, 2 * n * qb)), k)
+    return (Fraction(((2 * n - 1) << 2 * u.depth) + u.numerator, 2 << 2 * u.depth),), k
+
+
+@st.composite
+def inversion_targets(draw):
+    """Plane targets, many on a boundary of B_n: 0, the box edges +-n and
+    dyadic cell edges j / 2^d of the unit square scaled to B_n."""
+    n = draw(st.integers(min_value=1, max_value=6))
+
+    def coordinate():
+        depth = draw(st.integers(min_value=0, max_value=40))
+        edge = Fraction(-n) + Fraction(2 * n * draw(st.integers(0, 1 << depth)), 1 << depth)
+        return draw(
+            st.one_of(
+                st.floats(min_value=-20.0, max_value=20.0),
+                st.sampled_from([0, 0.0, n, -n, float(n), -float(n)]),
+                st.sampled_from([edge, float(edge)]),
+            )
+        )
+
+    return coordinate(), coordinate()
+
+
+@given(target=inversion_targets(), bits=st.floats(min_value=0.0, max_value=80.0))
+def test_integer_inversion_matches_the_decode_route(target, bits):
+    (t,), k = PeanoLine()._preimage_with_depth(target, bits)
+    assert ((t,), k) == decode_route_preimage(target, bits)
+    assert type(t) is Fraction
 
 
 @pytest.mark.parametrize("depth", [64, 128])
