@@ -19,7 +19,7 @@ from .errors import (
     DegenerateMemberError, DomainError, NoSolutionError, ResourceError, StructuralError
 )
 from .spans import ScalarSpan, VectorSpanMember, scalar_solve
-from .surjections import FunctionExpr, PhiCompose, _checked_preimage, compose_with_base, evaluate_at
+from .surjections import FunctionExpr, _checked_preimage, compose_with_base, evaluate_at
 
 DEFAULT_TARGET_BUDGET = 100_000
 DEFAULT_RANK_TOL = 1e-8
@@ -100,18 +100,6 @@ def detect_degenerate(v: VectorSpanMember) -> Optional[int]:
     return None
 
 
-def _reject_degenerate(f: Certifiable) -> None:
-    member = None
-    if isinstance(f, VectorSpanMember):
-        member = f
-    elif isinstance(f, PhiCompose):
-        member = f.member
-    if member is not None:
-        bad = detect_degenerate(member)
-        if bad is not None:
-            raise DegenerateMemberError(bad)
-
-
 def certify_surjective_on_box(
     f: Certifiable,
     box: BoxSpec,
@@ -121,7 +109,8 @@ def certify_surjective_on_box(
     """Search a preimage for every grid target; certified iff all residuals <= eps.
 
     Degenerate span members are rejected outright (they are not
-    surjective, so a failed certificate would be misleading). Witnesses
+    surjective, so a failed certificate would be misleading), a member
+    after a base by its first inversion. Witnesses
     are stored even on failure so that each can be re-checked by forward
     evaluation alone. Each witness's residual is the one the single
     forward check of the preimage search measured. Per-target cap and
@@ -136,8 +125,11 @@ def certify_surjective_on_box(
             f"{box.target_count} targets exceed budget {target_budget}; "
             f"raise target_budget to override"
         )
-    _reject_degenerate(f)
     spans = f.components() if isinstance(f, VectorSpanMember) else None
+    # up front: scalar_solve would refuse a zero span with NoSolutionError
+    for j, span in enumerate(spans or ()):
+        if span.is_zero:
+            raise DegenerateMemberError(j)
     codomain = f.arity if spans is not None else f.codomain_arity
     if box.arity != codomain:
         raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")
@@ -190,10 +182,6 @@ def _family_eval(f: FamilyFunction, point: tuple[float, ...], depth: int) -> tup
     if isinstance(f, FunctionExpr):
         return evaluate_at(f, point, depth).value
     raise DomainError(f"cannot evaluate an object of type {type(f).__name__}")
-
-
-def _describe(f: FamilyFunction) -> str:
-    return f.describe()
 
 
 def _equilibrate(a: list[list[float]]) -> list[list[float]]:
@@ -263,13 +251,13 @@ def independence_report(
             values = _family_eval(f, p, depth)
             if not all(map(math.isfinite, values)):
                 raise ResourceError(
-                    f"family member {_describe(f)} is not finite at sample point {p}"
+                    f"family member {f.describe()} is not finite at sample point {p}"
                 )
             row.extend(values)
         matrix.append(row)
     rank, ratios = matrix_rank_pivoted(matrix, tol)
     return IndependenceReport(
-        family=tuple(_describe(f) for f in family),
+        family=tuple(f.describe() for f in family),
         points=tuple(pts),
         matrix_shape=(len(matrix), len(matrix[0]) if matrix else 0),
         rank=rank,

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .spans import VectorSpanMember, combine_members, make_diagonal_family
 from .surjections import (
+    DEFAULT_EVAL_DEPTH,
     FunctionExpr,
     compose_with_base,
     evaluate_at,
@@ -108,7 +109,6 @@ class SpecFile:
     member: Optional[VectorSpanMember]
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
-    report_format: str
 
     def build_base(self) -> FunctionExpr:
         expr: FunctionExpr = extend_to_line()
@@ -227,7 +227,6 @@ def parse_spec_data(data: dict) -> SpecFile:
         except DomainError as err:
             raise SpecError(str(err)) from None
 
-    report_format = "json"
     if "output" in data:
         _check_keys(data["output"], {"format"}, set(), "output")
         report_format = data["output"].get("format", "json")
@@ -241,7 +240,6 @@ def parse_spec_data(data: dict) -> SpecFile:
         member=member,
         certify_box=box,
         certify_epsilon=epsilon,
-        report_format=report_format,
     )
 
 
@@ -417,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate the pipeline of a spec file")
     p_eval.add_argument("--spec", required=True)
     p_eval.add_argument("--point", required=True)
-    p_eval.add_argument("--depth", type=int, default=12)
+    p_eval.add_argument("--depth", type=int, default=DEFAULT_EVAL_DEPTH)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cert = sub.add_parser("certify", help="run certificates and write a report")

@@ -241,7 +241,9 @@ class VectorSpanMember:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        """True exactly when the member is the zero function: every reduced
+        span is zero (distinct exponent vectors can cancel coordinatewise)."""
+        return all(span.is_zero for span in self.components())
 
     def components(self) -> list[ScalarSpan]:
         return component_reduce(self)
@@ -253,7 +255,7 @@ class VectorSpanMember:
         return tuple(span.value(float(x)) for span, x in zip(self.components(), u))
 
     def describe(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return "0"
         return " + ".join(
             f"{lam:g}*Phi[{','.join(f'{r:g}' for r in rvec)}]" for lam, rvec in self.terms

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .curve import _d2xy, _ratio, _xy2d
 from .errors import (
@@ -49,14 +49,11 @@ class FunctionExpr:
     domain_arity: int
     codomain_arity: int
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         """Depth-k values and error estimate; point and values are exact
         (numerator, denominator) pairs, except that a sinh stage returns
-        (float, 1)."""
-        raise NotImplementedError
-
-    def _limit(self, point: tuple) -> tuple:
-        """Values of the limit map at a dyadic point, in the pairs of _eval."""
+        (float, 1). depth None is the limit map (k = infinity) at a dyadic
+        point, with estimate 0."""
         raise NotImplementedError
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
@@ -77,42 +74,28 @@ class PeanoLine(FunctionExpr):
     domain_arity = 1
     codomain_arity = 2
 
-    @staticmethod
-    def _segment(point: tuple) -> tuple:
-        """(values, None) for t <= 0 or a bridge, else (None, (n, u, q)) for the
-        curve parameter u/q in [0, 1) over B_n; t = p/q and values are exact."""
+    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         p, q = point[0]
         if type(p) is float:  # the output of a sinh stage
             p, q = _ratio(p)
         if p <= 0:
-            return ((0, 1), (0, 1)), None
+            return ((0, 1), (0, 1)), 0.0
         i, r = divmod(p, q)
         n = i + 1
         if 2 * r < q:
             # bridge at theta = 2r/q from the previous exit (i, -i), or the
             # origin, to the entry (-n, -n) of B_n
             px, py = (i, -i) if i else (0, 0)
-            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), None
-        return None, (n, 2 * r - q, q)
-
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
-        values, curve = self._segment(point)
-        if curve is None:
-            return values, 0.0
-        n, u, q = curve
-        index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
-        col, row = _d2xy(depth, index)
-        side = 1 << depth
-        return (
-            ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
-            float(2 * n) * 2.0 ** (-depth),
-        )
-
-    def _limit(self, point: tuple) -> tuple:
-        values, curve = self._segment(point)
-        if curve is None:
-            return values
-        n, u, q = curve
+            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), 0.0
+        u = 2 * r - q  # the curve parameter is u/q in [0, 1) over B_n
+        if depth is not None:
+            index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
+            col, row = _d2xy(depth, index)
+            side = 1 << depth
+            return (
+                ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
+                float(2 * n) * 2.0 ** (-depth),
+            )
         e = q.bit_length() - 1
         if q != 1 << e:
             raise DomainError("the limit map is evaluated at dyadic parameters only")
@@ -121,7 +104,7 @@ class PeanoLine(FunctionExpr):
         # the entry corner of cell index: 2 center(d + 1, 4 index) - center(d, index)
         col, row = _d2xy(d + 1, index << 2)
         x, y, side = col - (col >> 1), row - (row >> 1), 1 << d
-        return (n * (2 * x - side), side), (n * (2 * y - side), side)
+        return ((n * (2 * x - side), side), (n * (2 * y - side), side)), 0.0
 
     def _modulus_at(self, t: float, delta: float, depth: int) -> float:
         """Bound on output movement over [t - delta, t + delta]."""
@@ -179,7 +162,7 @@ class DimLift(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.inner.codomain_arity + 1
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
         pair = PeanoLine()
         last = values[-1]
@@ -187,10 +170,6 @@ class DimLift(FunctionExpr):
         if est > 0.0:
             pair_est += pair._modulus_at(last[0] / last[1], est, depth)
         return values[:-1] + pair_values, max(est, pair_est)
-
-    def _limit(self, point: tuple) -> tuple:
-        values = self.inner._limit(point)
-        return values[:-1] + PeanoLine()._limit(values[-1:])
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], bits + math.log2(6))
@@ -228,11 +207,8 @@ class ProjectLift(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.inner.codomain_arity
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         return self.inner._eval((point[0],), depth)
-
-    def _limit(self, point: tuple) -> tuple:
-        return self.inner._limit(point[:1])
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         (s,) = self.inner._preimage(target, bits)
@@ -272,7 +248,7 @@ class PhiCompose(FunctionExpr):
     def codomain_arity(self) -> int:
         return self.member.arity
 
-    def _eval(self, point: tuple, depth: int) -> tuple[tuple, float]:
+    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
         spans = self.spans
         inputs = [p / q for p, q in values]
@@ -283,10 +259,6 @@ class PhiCompose(FunctionExpr):
             span.derivative_bound(x - est, x + est) * est for span, x in zip(spans, inputs)
         )
         return out, amplified
-
-    def _limit(self, point: tuple) -> tuple:
-        values = self.inner._limit(point)
-        return tuple((span.value(p / q), 1) for span, (p, q) in zip(self.spans, values))
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         spans = self.spans
@@ -319,14 +291,13 @@ def extend_to_line() -> PeanoLine:
 
 def lift_dimension(f: FunctionExpr, max_codomain: int = 6) -> DimLift:
     """S_{1,n} -> S_{1,n+1}; the first output coordinate is preserved exactly."""
-    if f.domain_arity != 1:
-        raise StructuralError("lift requires a domain arity of 1")
-    if f.codomain_arity + 1 > max_codomain:
+    lifted = DimLift(f)
+    if lifted.codomain_arity > max_codomain:
         raise ResourceError(
-            f"codomain {f.codomain_arity + 1} exceeds cap {max_codomain}; "
+            f"codomain {lifted.codomain_arity} exceeds cap {max_codomain}; "
             f"raise max_codomain to override"
         )
-    return DimLift(f)
+    return lifted
 
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
@@ -394,7 +365,7 @@ def _checked_preimage(
     at eps/2, then one forward check that evaluates the limit map exactly
     at the dyadic witness (up to the float rounding of a sinh stage)."""
     witness = expr._preimage(target, 1.0 - math.log2(eps))
-    value = expr._limit(tuple(map(_ratio, witness)))
+    value, _ = expr._eval(tuple(map(_ratio, witness)), None)
     return witness, max(abs(p / q - y) for (p, q), y in zip(value, target))
 
 

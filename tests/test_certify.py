@@ -110,11 +110,12 @@ class TestCoverage:
     def test_one_forward_check_per_target(self, monkeypatch):
         # the forward check is one limit-map evaluation of the whole pipeline
         calls = []
-        check = PhiCompose._limit
+        check = PhiCompose._eval
 
-        def counting_check(self, point):
-            calls.append(point)
-            return check(self, point)
+        def counting_check(self, point, depth):
+            if depth is None:
+                calls.append(point)
+            return check(self, point, depth)
 
         inversions = []
         invert = PhiCompose._preimage
@@ -124,7 +125,7 @@ class TestCoverage:
             return invert(self, target, *args)
 
         monkeypatch.setattr(PhiCompose, "_preimage", counting_invert)
-        monkeypatch.setattr(PhiCompose, "_limit", counting_check)
+        monkeypatch.setattr(PhiCompose, "_eval", counting_check)
         member = make_diagonal_family([1.0], 3)[0]
         box = BoxSpec(((-6, 6),) * 3, 3)
         cert = certify_surjective_on_box(compose_with_base(member, s23_base()), box, 1e-3)
@@ -158,6 +159,9 @@ class TestCoverage:
         pipe = compose_with_base(DEGENERATE_MEMBER, project_lift(extend_to_line(), 1))
         with pytest.raises(DegenerateMemberError):
             certify_surjective_on_box(pipe, box, 1e-3)
+        lifted = lift_dimension(pipe)
+        with pytest.raises(DegenerateMemberError):
+            certify_surjective_on_box(lifted, BoxSpec(((-1, 1),) * 3, 3), 1e-3)
 
     def test_zero_member_is_rejected(self):
         zero = VectorSpanMember(((1.0, (1.0, 1.0)), (-1.0, (1.0, 1.0))), 2)

@@ -264,9 +264,16 @@ class TestVectorMembers:
         assert spans[1].terms == ((-1.0, 3.0), (1.0, 2.0))
 
     def test_zero_member_reduces_to_zero_everywhere(self):
-        m = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 2.0))), 2)
-        assert m.is_zero
-        assert all(s.is_zero for s in component_reduce(m))
+        # the terms merge away, or survive and cancel in every coordinate:
+        # Phi(1,1) - Phi(1,2) - Phi(2,1) + Phi(2,2)
+        for m in (
+            VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 2.0))), 2),
+            VectorSpanMember(
+                ((1.0, (1.0, 1.0)), (-1.0, (1.0, 2.0)), (-1.0, (2.0, 1.0)), (1.0, (2.0, 2.0))), 2
+            ),
+        ):
+            assert m.is_zero
+            assert all(s.is_zero for s in component_reduce(m))
 
     def test_reduce_is_linear(self):
         u = VectorSpanMember(((2.0, (1.0, 2.0)),), 2)

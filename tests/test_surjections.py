@@ -111,6 +111,8 @@ class TestLiftDimension:
         g = extend_to_line()
         with pytest.raises(StructuralError):
             lift_dimension(project_lift(g, 3))
+        with pytest.raises(StructuralError):
+            lift_dimension(project_lift(g, 2), max_codomain=2)
 
 
 class TestProjectLift:
@@ -440,7 +442,8 @@ def test_error_estimate_bounds_the_deep_lift_error(depth):
 
 
 def limit_values(expr, point):
-    return tuple(p / q for p, q in expr._limit(tuple(map(_ratio, point))))
+    values, _ = expr._eval(tuple(map(_ratio, point)), None)
+    return tuple(p / q for p, q in values)
 
 
 @pytest.mark.parametrize("n", [1, 3])
