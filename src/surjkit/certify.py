@@ -108,9 +108,10 @@ def certify_surjective_on_box(
 ) -> CoverageCertificate:
     """Search a preimage for every grid target; certified iff all residuals <= eps.
 
-    Degenerate span members are rejected outright (they are not
-    surjective, so a failed certificate would be misleading), a member
-    after a base by its first inversion. Witnesses
+    Degenerate span members are rejected with DegenerateMemberError, not
+    failed (they are not surjective, so a failed certificate would be
+    misleading): a bare member before any other check, a member after a
+    base by its first inversion, after the box-arity check. Witnesses
     are stored even on failure so that each can be re-checked by forward
     evaluation alone. Each witness's residual is the one the single
     forward check of the preimage search measured. Per-target cap and
@@ -127,9 +128,8 @@ def certify_surjective_on_box(
         )
     spans = f.components() if isinstance(f, VectorSpanMember) else None
     # up front: scalar_solve would refuse a zero span with NoSolutionError
-    for j, span in enumerate(spans or ()):
-        if span.is_zero:
-            raise DegenerateMemberError(j)
+    if spans is not None and (bad := detect_degenerate(f)) is not None:
+        raise DegenerateMemberError(bad)
     codomain = f.arity if spans is not None else f.codomain_arity
     if box.arity != codomain:
         raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")

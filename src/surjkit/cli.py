@@ -229,9 +229,9 @@ def parse_spec_data(data: dict) -> SpecFile:
 
     if "output" in data:
         _check_keys(data["output"], {"format"}, set(), "output")
-        report_format = data["output"].get("format", "json")
-        if report_format != "json":
-            raise SpecError(f"unsupported output format {report_format!r}")
+        output_format = data["output"].get("format", "json")
+        if output_format != "json":
+            raise SpecError(f"unsupported output format {output_format!r}")
 
     return SpecFile(
         base_lifts=lifts,

@@ -55,7 +55,7 @@ class TestDetectDegenerate:
         for _ in range(100):
             coeffs = [rng.uniform(-2, 2) for _ in fam]
             combo = combine_members(coeffs, fam)
-            if combo.is_zero:
+            if not combo.terms:
                 continue
             assert detect_degenerate(combo) is None
 

@@ -323,7 +323,9 @@ def test_degeneracy_dichotomy_for_diagonal_members(coeffs, arity):
     exps = [1.0, 2.0, 3.0][: len(coeffs)]
     combo = combine_members(coeffs, make_diagonal_family(exps, arity))
     spans = component_reduce(combo)
-    if combo.is_zero:
+    # a diagonal combination with surviving terms never cancels
+    assert combo.is_zero == (not combo.terms)
+    if not combo.terms:
         assert all(s.is_zero for s in spans)
     else:
         assert all(not s.is_zero for s in spans)
