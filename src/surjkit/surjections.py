@@ -22,6 +22,7 @@ exactly at it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,9 @@ from .spans import ScalarSpan, VectorSpanMember, scalar_solve
 
 EVAL_DEPTH_CAP = 4096
 DEFAULT_EVAL_DEPTH = 12
+# entries per inversion memo: a product grid repeats each axis value, and
+# the sinh stage and a lift's pair read one or two coordinates of a target
+_MEMO_SIZE = 4096
 
 Real = Union[int, float, Fraction]
 
@@ -119,9 +123,11 @@ class PeanoLine(FunctionExpr):
         (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
         n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
         # half a cell of B_n at depth k stays within 2**-bits / 2
-        k = max(1, math.ceil(math.log2(4 * n) + bits))
-        if k > EVAL_DEPTH_CAP:
-            raise ResourceError(f"preimage depth {k} exceeds cap {EVAL_DEPTH_CAP}")
+        depth = math.log2(4 * n) + bits
+        if not depth <= EVAL_DEPTH_CAP:  # an infinite or nan depth fails here too
+            shown = math.ceil(depth) if math.isfinite(depth) else depth
+            raise ResourceError(f"preimage depth {shown} exceeds cap {EVAL_DEPTH_CAP}")
+        k = max(1, math.ceil(depth))
         # the depth-k cell of the target's position (p + n q) / (2 n q) in the
         # unit square: column ceil(x 2^k) - 1, ties to the lower left as in
         # curve.cell_of
@@ -172,7 +178,7 @@ class DimLift(FunctionExpr):
         return values[:-1] + pair_values, max(est, pair_est)
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        (s,), pair_depth = PeanoLine()._preimage_with_depth(target[-2:], bits + math.log2(6))
+        (s,), pair_depth = _invert_pair(target[-2:], bits + math.log2(6))
         # keep the inner map within half a parameter interval of the pair's
         # depth so the pair output moves by at most one cell; as pair_depth
         # exceeds bits, this is also finer than the 2**-(bits + 1) the
@@ -266,12 +272,11 @@ class PhiCompose(FunctionExpr):
             if span.is_zero:
                 raise DegenerateMemberError(j)
         half_tol = 2.0 ** -(bits + 1)
-        solved = tuple(scalar_solve(span, float(y), half_tol) for span, y in zip(spans, target))
-        lipschitz = max(
-            span.derivative_bound(u - 1.0, u + 1.0) for span, u in zip(spans, solved)
+        solved, bounds = zip(
+            *(_solve_coordinate(span, float(y), half_tol) for span, y in zip(spans, target))
         )
         # the inner map within half_tol / lipschitz (and never coarser than 1)
-        return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(lipschitz)))
+        return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(max(bounds))))
 
     def describe(self) -> str:
         return f"({self.member.describe()}) o {self.inner.describe()}"
@@ -282,6 +287,23 @@ class PhiCompose(FunctionExpr):
             "member": member_to_dict(self.member),
             "inner": self.inner.to_dict(),
         }
+
+
+# Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
+# a cached result equals what a fresh call computes, up to the sign of a zero
+# root, which the exact stages below the sinh stage do not read.
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
+    """The sinh stage for one coordinate: a root u of span = y within tol, and
+    the bound on the span's slope over [u - 1, u + 1]."""
+    u = scalar_solve(span, y, tol)
+    return u, span.derivative_bound(u - 1.0, u + 1.0)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _invert_pair(pair: tuple, bits: float) -> tuple[tuple[Fraction], int]:
+    """A lift's trailing line-to-plane inversion: ((s,), its curve depth)."""
+    return PeanoLine()._preimage_with_depth(pair, bits)
 
 
 def extend_to_line() -> PeanoLine:

@@ -1,5 +1,6 @@
 """Coverage certificates, degeneracy detection, and independence ranks."""
 
+import io
 import math
 import random
 
@@ -31,7 +32,7 @@ from surjkit import (
     project_lift,
 )
 from surjkit.certify import matrix_rank_pivoted
-from surjkit.cli import _sample_points
+from surjkit.cli import _sample_points, _write_report
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
 DEGENERATE_MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 3.0))), 2)
@@ -39,6 +40,23 @@ DEGENERATE_MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 3.0))), 2)
 
 def s23_base():
     return project_lift(lift_dimension(extend_to_line()), 2)
+
+
+def readme_pipeline():
+    """The README spec's pipeline: (phi1 - phi2) after one lift and a projection."""
+    member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 3))
+    return compose_with_base(member, s23_base())
+
+
+def clear_inversion_memos():
+    surjkit.surjections._solve_coordinate.cache_clear()
+    surjkit.surjections._invert_pair.cache_clear()
+
+
+def report_text(cert):
+    fh = io.StringIO()
+    _write_report(fh, cert, None, {})
+    return fh.getvalue()
 
 
 class TestDetectDegenerate:
@@ -132,6 +150,36 @@ class TestCoverage:
         assert cert.certified
         assert len(calls) == box.target_count
         assert len(inversions) == box.target_count
+
+    def test_sinh_stage_solves_each_axis_value_once(self, monkeypatch):
+        # every coordinate has the span phi1 - phi2, and a grid of 3 has
+        # three axis values: 3 solves, not 27 targets x 3 coordinates
+        calls = []
+        solve = surjkit.surjections.scalar_solve
+
+        def counting_solve(span, y, tol):
+            calls.append(y)
+            return solve(span, y, tol)
+
+        monkeypatch.setattr(surjkit.surjections, "scalar_solve", counting_solve)
+        clear_inversion_memos()
+        cert = certify_surjective_on_box(readme_pipeline(), BoxSpec(((-10, 10),) * 3, 3), 1e-3)
+        assert cert.certified
+        assert len(calls) == 3
+
+    def test_warm_memo_certificate_equals_cold(self):
+        # both tolerances share every (span, y) and every pair target, so a
+        # memo key that dropped tol or bits would hand the warm run at one
+        # tolerance the results of the other
+        pipe, box = readme_pipeline(), BoxSpec(((-10, 10),) * 3, 3)
+        certs = {}
+        for eps in (1e-6, 1e-3):
+            clear_inversion_memos()
+            certs[eps] = certify_surjective_on_box(pipe, box, eps)
+        for eps in (1e-6, 1e-3):
+            warm = certify_surjective_on_box(pipe, box, eps)
+            assert warm == certs[eps]
+            assert report_text(warm) == report_text(certs[eps])
 
     @pytest.mark.parametrize("lifts,walks", [(0, 1), (1, 2)])
     def test_one_curve_walk_per_curve_stage_per_target(self, monkeypatch, lifts, walks):

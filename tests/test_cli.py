@@ -1,6 +1,7 @@
 """Command-line surface: spec parsing, outputs, exit codes, determinism."""
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -285,17 +286,66 @@ class TestCertify:
         assert not report.exists()
 
     def test_resource_failure_exits_3_naming_the_target(self, tmp_path, capsys):
-        # the bare lift chain at eps 1e-200 needs a curve depth above the cap
-        data = {
-            "base": {"construct": "extend_to_line", "lifts": 3},
-            "certify": {"box": [["-3", "3"]] * 5, "grid": 2, "epsilon": "1e-200"},
-        }
+        cases = [
+            # the bare lift chain at eps 1e-200 needs a curve depth above the cap
+            (
+                {
+                    "base": {"construct": "extend_to_line", "lifts": 3},
+                    "certify": {"box": [["-3", "3"]] * 5, "grid": 2, "epsilon": "1e-200"},
+                },
+                "target (-3.0, -3.0, -3.0, -3.0, -3.0): preimage depth",
+            ),
+            # the slope bound of phi_800 near the root overflows to an infinite depth
+            (
+                {
+                    "base": {"construct": "extend_to_line"},
+                    "family": {"diagonal_exponents": ["1", "800"]},
+                    "certify": {"box": [["-1", "1"], ["-1", "1"]], "grid": 3, "epsilon": "1e-3"},
+                },
+                "target (-1.0, -1.0): preimage depth inf exceeds cap",
+            ),
+        ]
+        for data, message in cases:
+            spec = write_spec(tmp_path, data)
+            report = tmp_path / "r.json"
+            assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_RESOURCE
+            err = capsys.readouterr().err
+            assert f"resource failure: {message}" in err
+            assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "data,digest",
+        [
+            # the certify-plane-fine benchmark spec of seed 1
+            pytest.param(
+                {
+                    "base": {"construct": "extend_to_line", "lifts": 0},
+                    "certify": {
+                        "box": [["-100.731272", "99.268728"], ["-99.305133", "100.694867"]],
+                        "grid": 61,
+                        "epsilon": "1e-9",
+                    },
+                },
+                "1fa4adeed1876c6c4e7216b3eed2a480687467b46f4e69c494f9840de4e23251",
+                id="plane-fine",
+            ),
+            pytest.param(
+                {
+                    "base": {"construct": "extend_to_line", "lifts": 3},
+                    "certify": {"box": [["-3", "3"]] * 5, "grid": 3, "epsilon": "1e-3"},
+                },
+                "a0a3e566b14ef5a22ca6af4f3ecce9e073932e2270a552d0779ac48a2c596c6e",
+                id="lifts-3",
+            ),
+        ],
+    )
+    def test_exact_arithmetic_report_bytes_are_pinned(self, tmp_path, data, digest):
+        # neither spec has a sinh stage, so the bytes do not depend on the
+        # platform's sinh and asinh; a change to them is a change to the report
         spec = write_spec(tmp_path, data)
         report = tmp_path / "r.json"
-        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_RESOURCE
-        err = capsys.readouterr().err
-        assert "target (-3.0, -3.0, -3.0, -3.0, -3.0): preimage depth" in err
-        assert not report.exists()
+        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_OK
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
 
     def test_witnesses_carry_exact_rationals(self, tmp_path):
         spec = write_spec(tmp_path, CERTIFY_SPEC)
