@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from ._value import Value, set_field
 from .errors import (
     DegenerateMemberError, DomainError, NoSolutionError, ResourceError, StructuralError
 )
-from .spans import ScalarSpan, VectorSpanMember, scalar_solve
-from .surjections import FunctionExpr, _checked_preimage, compose_with_base, evaluate_at
+from .spans import ScalarSpan, VectorSpanMember
+from .surjections import (
+    FunctionExpr, _checked_preimage, _solve_coordinate, compose_with_base, evaluate_at
+)
 
 DEFAULT_TARGET_BUDGET = 100_000
 DEFAULT_RANK_TOL = 1e-8
@@ -29,22 +31,24 @@ Certifiable = Union[FunctionExpr, VectorSpanMember]
 FamilyFunction = Union[ScalarSpan, VectorSpanMember, FunctionExpr]
 
 
-@dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(Value):
     """Compact box with per-coordinate bounds and a per-coordinate grid count."""
 
+    __slots__ = _fields = ("bounds", "grid_points")
     bounds: tuple[tuple[float, float], ...]
     grid_points: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        )
-        if self.grid_points < 2:
+    def __init__(self, bounds: Sequence[tuple[float, float]], grid_points: int):
+        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        if not isinstance(grid_points, int) or isinstance(grid_points, bool):
+            raise DomainError(f"grid point count must be an integer, got {grid_points!r}")
+        if grid_points < 2:
             raise DomainError("need at least two grid points per coordinate")
-        for lo, hi in self.bounds:
+        for lo, hi in bounds:
             if not -math.inf < lo < hi < math.inf:
                 raise DomainError(f"bound ({lo}, {hi}) must be finite with low < high")
+        set_field(self, "bounds", bounds)
+        set_field(self, "grid_points", grid_points)
 
     @property
     def arity(self) -> int:
@@ -62,25 +66,46 @@ class BoxSpec:
         return [tuple(p) for p in itertools.product(*axes)]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """One target, the preimage found for it, and the forward residual."""
 
+    __slots__ = _fields = ("target", "preimage", "achieved_error")
     target: tuple[float, ...]
     preimage: tuple
     achieved_error: float
 
+    def __init__(self, target: tuple[float, ...], preimage: tuple, achieved_error: float):
+        set_field(self, "target", target)
+        set_field(self, "preimage", preimage)
+        set_field(self, "achieved_error", achieved_error)
 
-@dataclass(frozen=True)
-class CoverageCertificate:
+
+class CoverageCertificate(Value):
     """Per-target witnesses for eps-surjectivity of a map on a box."""
 
+    __slots__ = _fields = ("function_id", "box", "epsilon", "witnesses", "status", "worst_target")
     function_id: str
     box: BoxSpec
     epsilon: float
     witnesses: tuple[Witness, ...]
     status: str  # "certified" | "failed"
-    worst_target: Optional[tuple[float, ...]] = None
+    worst_target: Optional[tuple[float, ...]]
+
+    def __init__(
+        self,
+        function_id: str,
+        box: BoxSpec,
+        epsilon: float,
+        witnesses: tuple[Witness, ...],
+        status: str,
+        worst_target: Optional[tuple[float, ...]] = None,
+    ):
+        set_field(self, "function_id", function_id)
+        set_field(self, "box", box)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "status", status)
+        set_field(self, "worst_target", worst_target)
 
     @property
     def certified(self) -> bool:
@@ -138,7 +163,9 @@ def certify_surjective_on_box(
     for target in box.targets():
         try:
             if spans is not None:
-                point = tuple(scalar_solve(span, y, eps / 2.0) for span, y in zip(spans, target))
+                point = tuple(
+                    _solve_coordinate(span, y, eps / 2.0)[0] for span, y in zip(spans, target)
+                )
                 achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
             else:
                 point, achieved = _checked_preimage(f, target, eps)
@@ -158,16 +185,38 @@ def certify_surjective_on_box(
     )
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    """Numerical rank evidence for a finite family at stored sample points."""
+class IndependenceReport(Value):
+    """Numerical rank evidence for a finite family at stored sample points.
 
+    The pivot ratios are diagnostics, kept outside equality and hashing.
+    """
+
+    __slots__ = _fields = ("family", "points", "matrix_shape", "rank", "tolerance", "pivot_ratios")
     family: tuple[str, ...]
     points: tuple[tuple[float, ...], ...]
     matrix_shape: tuple[int, int]
     rank: int
     tolerance: float
-    pivot_ratios: tuple[float, ...] = field(default=(), compare=False)
+    pivot_ratios: tuple[float, ...]
+
+    def __init__(
+        self,
+        family: tuple[str, ...],
+        points: tuple[tuple[float, ...], ...],
+        matrix_shape: tuple[int, int],
+        rank: int,
+        tolerance: float,
+        pivot_ratios: tuple[float, ...] = (),
+    ):
+        set_field(self, "family", family)
+        set_field(self, "points", points)
+        set_field(self, "matrix_shape", matrix_shape)
+        set_field(self, "rank", rank)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "pivot_ratios", pivot_ratios)
+
+    def _key(self) -> tuple:
+        return self.family, self.points, self.matrix_shape, self.rank, self.tolerance
 
     @property
     def full_rank(self) -> bool:
@@ -266,12 +315,16 @@ def independence_report(
     )
 
 
-@dataclass(frozen=True)
-class CompositionRankReport:
+class CompositionRankReport(Value):
     """Ranks of a member family before and after pre-composition with a base."""
 
+    __slots__ = _fields = ("composed", "direct")
     composed: IndependenceReport
     direct: IndependenceReport
+
+    def __init__(self, composed: IndependenceReport, direct: IndependenceReport):
+        set_field(self, "composed", composed)
+        set_field(self, "direct", direct)
 
     @property
     def ranks_equal(self) -> bool:

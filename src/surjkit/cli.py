@@ -23,7 +23,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -37,6 +36,7 @@ from .certify import (
     default_sample_points,
     independence_report,
 )
+from ._value import Value, set_field
 from .curve import DEFAULT_DEPTH_CAP, _trace_blocks
 from .errors import (
     DegenerateMemberError,
@@ -101,14 +101,37 @@ def exact_string(x) -> str:
 # spec file
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(Value):
+    __slots__ = _fields = (
+        "base_lifts",
+        "base_project_to",
+        "family_members",
+        "member",
+        "certify_box",
+        "certify_epsilon",
+    )
     base_lifts: int
     base_project_to: int
     family_members: tuple[VectorSpanMember, ...]
     member: Optional[VectorSpanMember]
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
+
+    def __init__(
+        self,
+        base_lifts: int,
+        base_project_to: int,
+        family_members: tuple[VectorSpanMember, ...],
+        member: Optional[VectorSpanMember],
+        certify_box: Optional[BoxSpec],
+        certify_epsilon: Optional[float],
+    ):
+        set_field(self, "base_lifts", base_lifts)
+        set_field(self, "base_project_to", base_project_to)
+        set_field(self, "family_members", family_members)
+        set_field(self, "member", member)
+        set_field(self, "certify_box", certify_box)
+        set_field(self, "certify_epsilon", certify_epsilon)
 
     def build_base(self) -> FunctionExpr:
         expr: FunctionExpr = extend_to_line()

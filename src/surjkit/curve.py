@@ -14,11 +14,11 @@ The codec is a four-state machine that reads a byte of the curve index
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Union
 
+from ._value import Value, set_field
 from .errors import DomainError, ResourceError
 
 DEFAULT_DEPTH_CAP = 12
@@ -81,26 +81,26 @@ def _ratio(x) -> tuple[int, int]:
     raise DomainError(f"{x} is not a finite real")
 
 
-@dataclass(frozen=True)
-class CurveParam:
+class CurveParam(Value):
     """Curve parameter numerator / 4**depth in [0, 1], stored canonically.
 
     Construction reduces by powers of 4, so two parameters with the same
     rational value compare equal whatever depth they were produced at.
     """
 
+    __slots__ = _fields = ("numerator", "depth")
     numerator: int
     depth: int
 
-    def __post_init__(self):
-        num, dep = self.numerator, self.depth
+    def __init__(self, numerator: int, depth: int):
+        num, dep = numerator, depth
         if dep < 0 or num < 0 or num > 4**dep:
             raise DomainError(f"curve parameter {num}/4^{dep} outside [0, 1]")
         while dep > 0 and num % 4 == 0:
             num //= 4
             dep -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "depth", dep)
+        set_field(self, "numerator", num)
+        set_field(self, "depth", dep)
 
     @property
     def value(self) -> Fraction:
@@ -110,35 +110,39 @@ class CurveParam:
         return float(self.value)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(Value):
     """Exact dyadic point of the unit square."""
 
+    __slots__ = _fields = ("x", "y")
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        if not (0 <= self.x <= 1 and 0 <= self.y <= 1):
-            raise DomainError(f"point ({self.x}, {self.y}) outside the unit square")
+    def __init__(self, x: Fraction, y: Fraction):
+        x, y = Fraction(x), Fraction(y)
+        if not (0 <= x <= 1 and 0 <= y <= 1):
+            raise DomainError(f"point ({x}, {y}) outside the unit square")
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
     def as_floats(self) -> tuple[float, float]:
         return float(self.x), float(self.y)
 
 
-@dataclass(frozen=True)
-class CellAddress:
+class CellAddress(Value):
     """One cell of the depth-k dyadic grid; col/row count from the lower left."""
 
+    __slots__ = _fields = ("depth", "col", "row")
     depth: int
     col: int
     row: int
 
-    def __post_init__(self):
-        side = 1 << self.depth
-        if self.depth < 0 or not (0 <= self.col < side and 0 <= self.row < side):
-            raise DomainError(f"cell ({self.col}, {self.row}) invalid at depth {self.depth}")
+    def __init__(self, depth: int, col: int, row: int):
+        side = 1 << depth
+        if depth < 0 or not (0 <= col < side and 0 <= row < side):
+            raise DomainError(f"cell ({col}, {row}) invalid at depth {depth}")
+        set_field(self, "depth", depth)
+        set_field(self, "col", col)
+        set_field(self, "row", row)
 
     def center(self) -> PlanePoint:
         denom = 1 << (self.depth + 1)

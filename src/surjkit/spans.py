@@ -11,9 +11,9 @@ surjections.compose_with_base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._value import Value, set_field
 from .errors import DomainError, NoSolutionError, ResourceError
 
 BRACKET_CAP = 2.0**60
@@ -39,15 +39,28 @@ def phi_inverse(r: float, y: float) -> float:
     return math.asinh(y / 2.0) / r
 
 
-@dataclass(frozen=True)
-class ScalarSpan:
+class ScalarSpan(Value):
     """Normalized combination sum(alpha_i * phi_{r_i}), exponents strictly decreasing.
 
     The empty term tuple is the zero function. Use make_scalar_span to
     build one from raw (coefficient, exponent) pairs.
     """
 
+    __slots__ = _fields = ("terms",)
     terms: tuple[tuple[float, float], ...]
+
+    def __init__(self, terms: tuple[tuple[float, float], ...]):
+        set_field(self, "terms", terms)
+
+    # written out: the sinh-stage memo hashes the span on every lookup, and
+    # compares it whenever equal spans of different coordinates share a key
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -119,12 +132,16 @@ def make_scalar_span(pairs: Iterable[tuple[float, float]]) -> ScalarSpan:
     return ScalarSpan(terms)
 
 
-@dataclass(frozen=True)
-class Asymptotics:
+class Asymptotics(Value):
     """Limits of a span at +inf and -inf; (0, 0) encodes the zero function."""
 
+    __slots__ = _fields = ("at_plus_infinity", "at_minus_infinity")
     at_plus_infinity: float
     at_minus_infinity: float
+
+    def __init__(self, at_plus_infinity: float, at_minus_infinity: float):
+        set_field(self, "at_plus_infinity", at_plus_infinity)
+        set_field(self, "at_minus_infinity", at_minus_infinity)
 
     @property
     def is_zero(self) -> bool:
@@ -210,26 +227,26 @@ def scalar_solve(s: ScalarSpan, y: float, tol: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class VectorSpanMember:
+class VectorSpanMember(Value):
     """Combination sum(lambda_i * Phi_{r_i}) of coordinatewise sinh stacks.
 
     Each term couples a coefficient with an exponent vector in (R+)^n;
     coordinate j of the map applies phi with exponent r_i[j] to input j.
     """
 
+    __slots__ = _fields = ("terms", "arity")
     terms: tuple[tuple[float, tuple[float, ...]], ...]
     arity: int
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, terms: Iterable[tuple[float, Sequence[float]]], arity: int):
+        if arity < 1:
             raise DomainError("arity must be at least 1")
         merged: dict[tuple[float, ...], float] = {}
-        for lam, rvec in self.terms:
+        for lam, rvec in terms:
             rvec = tuple(float(r) for r in rvec)
-            if len(rvec) != self.arity:
+            if len(rvec) != arity:
                 raise DomainError(
-                    f"exponent vector {rvec} has length {len(rvec)}, expected {self.arity}"
+                    f"exponent vector {rvec} has length {len(rvec)}, expected {arity}"
                 )
             if any(r <= 0 for r in rvec):
                 raise DomainError(f"exponent vector {rvec} must be strictly positive")
@@ -237,7 +254,8 @@ class VectorSpanMember:
         normalized = tuple(
             (lam, rvec) for rvec, lam in sorted(merged.items(), reverse=True) if lam != 0.0
         )
-        object.__setattr__(self, "terms", normalized)
+        set_field(self, "terms", normalized)
+        set_field(self, "arity", arity)
 
     @property
     def is_zero(self) -> bool:

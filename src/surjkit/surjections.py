@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._value import Value, set_field
 from .curve import _d2xy, _ratio, _xy2d
 from .errors import (
     DegenerateMemberError,
@@ -47,9 +47,11 @@ _MEMO_SIZE = 4096
 Real = Union[int, float, Fraction]
 
 
-class FunctionExpr:
-    """Base of the immutable expression tree; nodes are frozen dataclasses."""
+class FunctionExpr(Value):
+    """Base of the immutable expression tree; nodes are value types, equal
+    exactly when they are the same kind of node with equal fields."""
 
+    __slots__ = ()
     domain_arity: int
     codomain_arity: int
 
@@ -71,10 +73,10 @@ class FunctionExpr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PeanoLine(FunctionExpr):
     """The line-to-plane surjection; domain arity 1, codomain arity 2."""
 
+    __slots__ = ()
     domain_arity = 1
     codomain_arity = 2
 
@@ -147,18 +149,19 @@ class PeanoLine(FunctionExpr):
         return {"kind": "peano_line"}
 
 
-@dataclass(frozen=True)
 class DimLift(FunctionExpr):
     """Expands the last output coordinate of an S_{1,n} tree through a
     fresh line-to-plane map (the trailing pair), producing S_{1,n+1}."""
 
+    __slots__ = _fields = ("inner",)
     inner: FunctionExpr
 
-    def __post_init__(self):
-        if self.inner.domain_arity != 1:
+    def __init__(self, inner: FunctionExpr):
+        if inner.domain_arity != 1:
             raise StructuralError("lift requires a domain arity of 1")
-        if self.inner.codomain_arity < 2:
+        if inner.codomain_arity < 2:
             raise StructuralError("lift requires a codomain arity of at least 2")
+        set_field(self, "inner", inner)
 
     @property
     def domain_arity(self) -> int:
@@ -192,18 +195,20 @@ class DimLift(FunctionExpr):
         return {"kind": "dim_lift", "inner": self.inner.to_dict()}
 
 
-@dataclass(frozen=True)
 class ProjectLift(FunctionExpr):
     """Reads only the first input coordinate: F(x_1, ..., x_m) = g(x_1)."""
 
+    __slots__ = _fields = ("inner", "arity")
     inner: FunctionExpr
     arity: int
 
-    def __post_init__(self):
-        if self.inner.domain_arity != 1:
+    def __init__(self, inner: FunctionExpr, arity: int):
+        if inner.domain_arity != 1:
             raise StructuralError("projection lift requires an inner domain arity of 1")
-        if self.arity < 1:
+        if arity < 1:
             raise DomainError("target domain arity must be at least 1")
+        set_field(self, "inner", inner)
+        set_field(self, "arity", arity)
 
     @property
     def domain_arity(self) -> int:
@@ -227,24 +232,27 @@ class ProjectLift(FunctionExpr):
         return {"kind": "project_lift", "arity": self.arity, "inner": self.inner.to_dict()}
 
 
-@dataclass(frozen=True)
 class PhiCompose(FunctionExpr):
     """A vector span member applied after a base surjection.
 
     The member's per-coordinate spans are reduced once, when the node is
-    built, and kept outside equality and hashing.
+    built, and kept outside equality, hashing and the repr.
     """
 
+    _fields = ("member", "inner")
+    __slots__ = _fields + ("spans",)
     member: VectorSpanMember
     inner: FunctionExpr
-    spans: tuple[ScalarSpan, ...] = field(init=False, repr=False, compare=False)
+    spans: tuple[ScalarSpan, ...]
 
-    def __post_init__(self):
-        if self.member.arity != self.inner.codomain_arity:
+    def __init__(self, member: VectorSpanMember, inner: FunctionExpr):
+        if member.arity != inner.codomain_arity:
             raise StructuralError(
-                f"member arity {self.member.arity} != base codomain {self.inner.codomain_arity}"
+                f"member arity {member.arity} != base codomain {inner.codomain_arity}"
             )
-        object.__setattr__(self, "spans", tuple(self.member.components()))
+        set_field(self, "member", member)
+        set_field(self, "inner", inner)
+        set_field(self, "spans", tuple(member.components()))
 
     @property
     def domain_arity(self) -> int:
@@ -291,7 +299,9 @@ class PhiCompose(FunctionExpr):
 
 # Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
 # a cached result equals what a fresh call computes, up to the sign of a zero
-# root, which the exact stages below the sinh stage do not read.
+# root. The exact stages below the sinh stage do not read that sign; a bare
+# member's certificate, whose witness is the root itself, can show it only
+# after a solve at y = -0.0, which no box grid target is.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
     """The sinh stage for one coordinate: a root u of span = y within tol, and
@@ -338,13 +348,17 @@ def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompos
     return PhiCompose(member, base)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Value):
     """Approximant value and a conservative bound on its movement under
     one extra level of depth refinement."""
 
+    __slots__ = _fields = ("value", "error_estimate")
     value: tuple[float, ...]
     error_estimate: float
+
+    def __init__(self, value: tuple[float, ...], error_estimate: float):
+        set_field(self, "value", value)
+        set_field(self, "error_estimate", error_estimate)
 
 
 def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_EVAL_DEPTH) -> EvalResult:

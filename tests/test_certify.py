@@ -167,6 +167,32 @@ class TestCoverage:
         assert cert.certified
         assert len(calls) == 3
 
+    def test_bare_member_solves_each_axis_value_once(self, monkeypatch):
+        # three coordinates with three different spans on a grid of 3: one
+        # solve per (coordinate, axis value), not one per target coordinate
+        calls = []
+        solve = surjkit.surjections.scalar_solve
+
+        def counting_solve(span, y, tol):
+            calls.append((span, y))
+            return solve(span, y, tol)
+
+        monkeypatch.setattr(surjkit.surjections, "scalar_solve", counting_solve)
+        clear_inversion_memos()
+        member = VectorSpanMember(((1.0, (1.0, 2.0, 3.0)),), 3)
+        cert = certify_surjective_on_box(member, BoxSpec(((-4, 4),) * 3, 3), 1e-6)
+        assert cert.certified
+        assert len(calls) == 9 == len(set(calls))
+
+    def test_bare_member_warm_certificate_equals_cold(self):
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 2))
+        box = BoxSpec(((-5, 5), (-3, 7)), 5)
+        clear_inversion_memos()
+        cold = certify_surjective_on_box(member, box, 1e-6)
+        warm = certify_surjective_on_box(member, box, 1e-6)
+        # the repr also tells a root of -0.0 from 0.0
+        assert warm == cold and repr(warm) == repr(cold)
+
     def test_warm_memo_certificate_equals_cold(self):
         # both tolerances share every (span, y) and every pair target, so a
         # memo key that dropped tol or bits would hand the warm run at one
@@ -225,6 +251,9 @@ class TestCoverage:
             BoxSpec(((-1, 1), (2, 2)), 3)
         with pytest.raises(DomainError):
             BoxSpec(((-1, 1),), 1)
+        for grid in (3.0, True, "3", None):
+            with pytest.raises(DomainError):
+                BoxSpec(((0.0, 1.0),), grid)
         for eps in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 certify_surjective_on_box(extend_to_line(), BoxSpec(((-1, 1), (-1, 1)), 3), eps)

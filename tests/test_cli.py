@@ -543,3 +543,22 @@ def test_command_line_runs_without_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_cli_import_adds_neither_dataclasses_nor_inspect():
+    # every command pays for start-up; dataclasses pulls in inspect, ast,
+    # dis and tokenize, and its decorators exec generated methods
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import surjkit.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "surjkit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
