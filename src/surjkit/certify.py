@@ -20,7 +20,7 @@ from .errors import (
 )
 from .spans import ScalarSpan, VectorSpanMember
 from .surjections import (
-    FunctionExpr, _checked_preimage, _solve_coordinate, compose_with_base, evaluate_at
+    FunctionExpr, _checked_preimage, _solve_coordinate, _sup_error, compose_with_base, evaluate_at
 )
 
 DEFAULT_TARGET_BUDGET = 100_000
@@ -58,12 +58,13 @@ class BoxSpec(Value):
     def target_count(self) -> int:
         return self.grid_points**self.arity
 
+    def _axes(self) -> list[list[float]]:
+        """The grid values of each coordinate, low to high."""
+        count = self.grid_points
+        return [[lo + (hi - lo) * i / (count - 1) for i in range(count)] for lo, hi in self.bounds]
+
     def targets(self) -> list[tuple[float, ...]]:
-        axes = [
-            [lo + (hi - lo) * i / (self.grid_points - 1) for i in range(self.grid_points)]
-            for lo, hi in self.bounds
-        ]
-        return [tuple(p) for p in itertools.product(*axes)]
+        return [tuple(p) for p in itertools.product(*self._axes())]
 
 
 class Witness(Value):
@@ -166,14 +167,17 @@ def certify_surjective_on_box(
                 point = tuple(
                     _solve_coordinate(span, y, eps / 2.0)[0] for span, y in zip(spans, target)
                 )
-                achieved = max(abs(span.value(x) - y) for span, x, y in zip(spans, point, target))
+                achieved = _sup_error(
+                    [abs(span.value(x) - y) for span, x, y in zip(spans, point, target)]
+                )
             else:
                 point, achieved = _checked_preimage(f, target, eps)
         except (ResourceError, NoSolutionError) as err:
             raise type(err)(f"target {target}: {err}") from err
         witnesses.append(Witness(target, point, achieved))
 
-    worst = max(witnesses, key=lambda w: w.achieved_error)
+    # a nan residual ranks worst, as it fails every comparison with eps
+    worst = max(witnesses, key=lambda w: (w.achieved_error != w.achieved_error, w.achieved_error))
     certified = worst.achieved_error <= eps
     return CoverageCertificate(
         function_id=f.describe(),

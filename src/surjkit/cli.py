@@ -302,7 +302,12 @@ def _write_report(
     format_real and exact_string, which need no escaping. A witness's lists
     are never empty: a target has the box's arity and a preimage the
     pipeline's domain arity.
+
+    Targets are box grid values, so each grid value is formatted once and
+    looked up by value. Zero is left out, as -0.0 == 0.0 share a key but
+    print apart; a value off the grid is formatted where it is met.
     """
+    grid_text = {x: format_real(x) for axis in cert.box._axes() for x in axis if x}
     box = {
         "bounds": [[format_real(lo), format_real(hi)] for lo, hi in cert.box.bounds],
         "grid_points": cert.box.grid_points,
@@ -322,13 +327,13 @@ def _write_report(
             f'{lead}      {{\n'
             f'        "achieved_error": "{format_real(w.achieved_error)}",\n'
             f'        "preimage_decimal": [\n'
-            f'          "{sep.join([format_real(float(x)) for x in w.preimage])}"\n'
+            f'          "{sep.join([format_real(x) for x in w.preimage])}"\n'
             f'        ],\n'
             f'        "preimage_exact": [\n'
             f'          "{sep.join([exact_string(x) for x in w.preimage])}"\n'
             f'        ],\n'
             f'        "target": [\n'
-            f'          "{sep.join([format_real(x) for x in w.target])}"\n'
+            f'          "{sep.join([grid_text.get(y) or format_real(y) for y in w.target])}"\n'
             f'        ]\n'
             f'      }}'
         )

@@ -73,9 +73,16 @@ _RUN_Y = tuple(tuple(e >> 2 & 15 for e in _FWD[s << 8 : (s + 1) << 8]) for s in 
 
 def _ratio(x) -> tuple[int, int]:
     """Exact (numerator, positive denominator) of a finite real."""
-    if isinstance(x, Rational):
-        return int(x.numerator), int(x.denominator)
-    x = float(x)
+    # the exact types first: the Rational check is an ABC lookup per call
+    cls = type(x)
+    if cls is not float:
+        if cls is Fraction:
+            return x.as_integer_ratio()
+        if cls is int:
+            return x, 1
+        if isinstance(x, Rational):
+            return int(x.numerator), int(x.denominator)
+        x = float(x)
     if math.isfinite(x):
         return x.as_integer_ratio()
     raise DomainError(f"{x} is not a finite real")
@@ -203,16 +210,22 @@ def hilbert_encode(t: RealLike, k: int) -> tuple[CellAddress, PlanePoint]:
     return cell, cell.center()
 
 
+def _cell(xn: int, xd: int, yn: int, yd: int, k: int) -> tuple[int, int]:
+    """(col, row) of the depth-k cell containing (xn/xd, yn/yd) in the unit
+    square, ties toward the lower left: column ceil(x * 2^k) - 1, by integer
+    ceiling division, and 0 on the left edge."""
+    col = -((-xn << k) // xd) - 1
+    row = -((-yn << k) // yd) - 1
+    return (col if col > 0 else 0), (row if row > 0 else 0)
+
+
 def cell_of(p: PlanePoint | tuple, k: int) -> CellAddress:
     """Depth-k cell containing p; boundary ties break toward the lower left."""
     x, y = (p.x, p.y) if isinstance(p, PlanePoint) else p
     (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
     if not (0 <= xn <= xd and 0 <= yn <= yd):
         raise DomainError(f"point ({x}, {y}) outside the unit square")
-    # column ceil(x * 2^k) - 1, by integer ceiling division
-    col = max(-((-xn << k) // xd) - 1, 0)
-    row = max(-((-yn << k) // yd) - 1, 0)
-    return CellAddress(k, col, row)
+    return CellAddress(k, *_cell(xn, xd, yn, yd, k))
 
 
 def hilbert_decode(p: PlanePoint | tuple, k: int) -> CurveParam:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._value import Value, set_field
-from .curve import _d2xy, _ratio, _xy2d
+from .curve import _cell, _d2xy, _ratio, _xy2d
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -123,18 +123,24 @@ class PeanoLine(FunctionExpr):
 
     def _preimage_with_depth(self, target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
         (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
-        n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
+        # the smallest box B_n holding the target, n >= 1
+        n = -(-abs(pa) // qa)
+        m = -(-abs(pb) // qb)
+        if m > n:
+            n = m
+        if n < 1:
+            n = 1
         # half a cell of B_n at depth k stays within 2**-bits / 2
         depth = math.log2(4 * n) + bits
         if not depth <= EVAL_DEPTH_CAP:  # an infinite or nan depth fails here too
             shown = math.ceil(depth) if math.isfinite(depth) else depth
             raise ResourceError(f"preimage depth {shown} exceeds cap {EVAL_DEPTH_CAP}")
-        k = max(1, math.ceil(depth))
+        k = math.ceil(depth)
+        if k < 1:
+            k = 1
         # the depth-k cell of the target's position (p + n q) / (2 n q) in the
-        # unit square: column ceil(x 2^k) - 1, ties to the lower left as in
-        # curve.cell_of
-        col = max(-((-(pa + n * qa) << k) // (2 * n * qa)) - 1, 0)
-        row = max(-((-(pb + n * qb) << k) // (2 * n * qb)) - 1, 0)
+        # unit square
+        col, row = _cell(pa + n * qa, 2 * n * qa, pb + n * qb, 2 * n * qb, k)
         # t = (2n - 1)/2 + index / (2 * 4^k)
         return (Fraction(((2 * n - 1) << 2 * k) + _xy2d(k, col, row), 2 << 2 * k),), k
 
@@ -173,20 +179,25 @@ class DimLift(FunctionExpr):
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
-        pair = PeanoLine()
         last = values[-1]
-        pair_values, pair_est = pair._eval((last,), depth)
+        pair_values, pair_est = _PAIR._eval((last,), depth)
         if est > 0.0:
-            pair_est += pair._modulus_at(last[0] / last[1], est, depth)
+            pair_est += _PAIR._modulus_at(last[0] / last[1], est, depth)
         return values[:-1] + pair_values, max(est, pair_est)
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        (s,), pair_depth = _invert_pair(target[-2:], bits + math.log2(6))
+        try:
+            (s,), pair_depth = _invert_pair(target[-2:], bits + math.log2(6))
+        except ResourceError as err:
+            raise _in_node(err, "the pair of dim_lift") from err
         # keep the inner map within half a parameter interval of the pair's
         # depth so the pair output moves by at most one cell; as pair_depth
         # exceeds bits, this is also finer than the 2**-(bits + 1) the
         # inner map's leading coordinates need
-        return self.inner._preimage(target[:-2] + (s,), 2 * pair_depth + 1)
+        try:
+            return self.inner._preimage(target[:-2] + (s,), 2 * pair_depth + 1)
+        except ResourceError as err:
+            raise _in_node(err, "the inner map of dim_lift") from err
 
     def describe(self) -> str:
         return f"dim_lift({self.inner.describe()})"
@@ -266,25 +277,34 @@ class PhiCompose(FunctionExpr):
         values, est = self.inner._eval(point, depth)
         spans = self.spans
         inputs = [p / q for p, q in values]
-        out = tuple((span.value(x), 1) for span, x in zip(spans, inputs))
+        out = tuple([(span.value(x), 1) for span, x in zip(spans, inputs)])
         if est == 0.0:
             return out, 0.0
         amplified = max(
-            span.derivative_bound(x - est, x + est) * est for span, x in zip(spans, inputs)
+            [span.derivative_bound(x - est, x + est) * est for span, x in zip(spans, inputs)]
         )
         return out, amplified
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
         spans = self.spans
-        for j, span in enumerate(spans):
-            if span.is_zero:
-                raise DegenerateMemberError(j)
+        if not all([span.terms for span in spans]):
+            raise DegenerateMemberError([span.is_zero for span in spans].index(True))
         half_tol = 2.0 ** -(bits + 1)
-        solved, bounds = zip(
-            *(_solve_coordinate(span, float(y), half_tol) for span, y in zip(spans, target))
-        )
+        solved, bounds = [], []
+        for j, (span, y) in enumerate(zip(spans, target)):
+            try:
+                u, bound = _solve_coordinate(span, float(y), half_tol)
+            except ResourceError as err:
+                raise _in_node(err, f"the sinh stage of phi_compose coordinate {j + 1}") from err
+            solved.append(u)
+            bounds.append(bound)
         # the inner map within half_tol / lipschitz (and never coarser than 1)
-        return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(max(bounds))))
+        try:
+            return self.inner._preimage(
+                tuple(solved), max(0.0, bits + 1 + math.log2(max(bounds)))
+            )
+        except ResourceError as err:
+            raise _in_node(err, "the inner map of phi_compose") from err
 
     def describe(self) -> str:
         return f"({self.member.describe()}) o {self.inner.describe()}"
@@ -295,6 +315,16 @@ class PhiCompose(FunctionExpr):
             "member": member_to_dict(self.member),
             "inner": self.inner.to_dict(),
         }
+
+
+_PAIR = PeanoLine()  # the trailing line-to-plane map of every lift
+
+
+def _in_node(err: ResourceError, node: str) -> ResourceError:
+    """err, naming the tree node it passed through; the names read from the
+    node that raised outward to the root (a projection lift, which inverts
+    nothing itself, adds none)."""
+    return ResourceError(f"{err} in {node}")
 
 
 # Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
@@ -313,7 +343,7 @@ def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, fl
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invert_pair(pair: tuple, bits: float) -> tuple[tuple[Fraction], int]:
     """A lift's trailing line-to-plane inversion: ((s,), its curve depth)."""
-    return PeanoLine()._preimage_with_depth(pair, bits)
+    return _PAIR._preimage_with_depth(pair, bits)
 
 
 def extend_to_line() -> PeanoLine:
@@ -394,6 +424,16 @@ def evaluate_to_precision(
     raise ResourceError(f"could not reach precision {precision} within the depth cap")
 
 
+def _sup_error(errors: list[float]) -> float:
+    """The sup-norm residual of per-coordinate errors; nan if any error is
+    nan, so that it fails every comparison with a tolerance."""
+    worst = 0.0
+    for e in errors:
+        if e > worst or e != e:
+            worst = e
+    return worst
+
+
 def _checked_preimage(
     expr: FunctionExpr, target: tuple[float, ...], eps: float
 ) -> tuple[tuple, float]:
@@ -402,7 +442,7 @@ def _checked_preimage(
     at the dyadic witness (up to the float rounding of a sinh stage)."""
     witness = expr._preimage(target, 1.0 - math.log2(eps))
     value, _ = expr._eval(tuple(map(_ratio, witness)), None)
-    return witness, max(abs(p / q - y) for (p, q), y in zip(value, target))
+    return witness, _sup_error([abs(p / q - y) for (p, q), y in zip(value, target)])
 
 
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:

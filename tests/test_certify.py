@@ -13,7 +13,9 @@ from surjkit import (
     BoxSpec,
     DegenerateMemberError,
     DomainError,
+    FunctionExpr,
     PhiCompose,
+    RefinementError,
     ResourceError,
     VectorSpanMember,
     certify_surjective_on_box,
@@ -29,10 +31,12 @@ from surjkit import (
     lift_dimension,
     make_diagonal_family,
     make_scalar_span,
+    preimage,
     project_lift,
 )
 from surjkit.certify import matrix_rank_pivoted
 from surjkit.cli import _sample_points, _write_report
+from surjkit.surjections import _sup_error
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
 DEGENERATE_MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 3.0))), 2)
@@ -237,6 +241,14 @@ class TestCoverage:
         with pytest.raises(DegenerateMemberError):
             certify_surjective_on_box(lifted, BoxSpec(((-1, 1),) * 3, 3), 1e-3)
 
+    def test_member_after_a_base_names_its_first_zero_coordinate(self):
+        # coordinate 1 is phi_1 - phi_1; coordinate 0 does not cancel
+        member = VectorSpanMember(((1.0, (2.0, 1.0)), (-1.0, (3.0, 1.0))), 2)
+        pipe = compose_with_base(member, extend_to_line())
+        with pytest.raises(DegenerateMemberError) as err:
+            certify_surjective_on_box(pipe, BoxSpec(((-1, 1), (-1, 1)), 3), 1e-3)
+        assert err.value.coordinate == 1
+
     def test_zero_member_is_rejected(self):
         zero = VectorSpanMember(((1.0, (1.0, 1.0)), (-1.0, (1.0, 1.0))), 2)
         with pytest.raises(DegenerateMemberError):
@@ -260,6 +272,42 @@ class TestCoverage:
         for bad in ((0, math.inf), (-math.inf, 0), (math.nan, 1)):
             with pytest.raises(DomainError):
                 BoxSpec((bad, (0, 1)), 2)
+
+
+class IdentityWithNan(FunctionExpr):
+    """The identity of the plane, except that its limit map reads nan in
+    coordinate 2 wherever coordinate 1 is 1."""
+
+    __slots__ = ()
+    domain_arity = codomain_arity = 2
+
+    def _preimage(self, target, bits):
+        return target
+
+    def _eval(self, point, depth):
+        (p, q), second = point
+        return ((p, q), (math.nan, 1) if p == q else second), 0.0
+
+    def describe(self):
+        return "identity with a nan"
+
+
+class TestNanResidual:
+    def test_sup_error_is_nan_if_any_coordinate_is(self):
+        for errors in ([0.1, math.nan], [math.nan, 0.1], [0.2, math.nan, 0.3]):
+            assert math.isnan(_sup_error(errors))
+        assert _sup_error([0.1, 0.3, 0.2]) == 0.3
+
+    def test_a_nan_in_coordinate_2_fails_the_target(self):
+        f = IdentityWithNan()
+        assert preimage(f, (0.5, 0.25), 1e-9) == (0.5, 0.25)
+        with pytest.raises(RefinementError):
+            preimage(f, (1.0, 0.25), 1e-9)
+        cert = certify_surjective_on_box(f, BoxSpec(((0.0, 1.0), (0.0, 1.0)), 3), 1e-9)
+        nan_targets = [w.target for w in cert.witnesses if math.isnan(w.achieved_error)]
+        assert nan_targets == [(1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+        # not the first witness, and still the worst
+        assert cert.status == "failed" and cert.worst_target == (1.0, 0.0)
 
 
 class TestIndependence:

@@ -22,6 +22,7 @@ from surjkit.cli import (
     EXIT_VALIDATION,
     _write_report,
     dyadic_decimal,
+    format_real,
     main,
 )
 from oracles import recursion_centers
@@ -423,6 +424,17 @@ class TestReportFormat:
         assert text == json_dump_form(text)
         assert '"witnesses": [],' in text
         assert '"pivot_ratios": [],' in text
+
+    def test_signed_zero_and_off_grid_targets(self, tmp_path):
+        # both box axes hold 0.0 on the grid; -0.0 equals it but prints apart
+        targets = [(-0.0, 0.0), (0.0, -0.0), (0.3, 2.5), (-1.0, 1 / 3)]
+        cert = hand_built_certificate([Witness(t, (Fraction(1, 3),), 0.0) for t in targets])
+        text = written_report(tmp_path, cert)
+        assert text == json_dump_form(text)
+        written = [w["target"] for w in json.loads(text)["certificate"]["witnesses"]]
+        assert written == [
+            ["-0", "0"], ["0", "-0"], [format_real(0.3), "2.5"], ["-1", format_real(1 / 3)]
+        ]
 
     def test_report_memory_does_not_grow_with_the_grid(self, tmp_path):
         rng = random.Random(11)

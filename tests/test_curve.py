@@ -2,8 +2,10 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +19,7 @@ from surjkit import (
     hilbert_encode,
     modulus_bound,
 )
-from surjkit.curve import _d2xy, _xy2d
+from surjkit.curve import _d2xy, _ratio, _xy2d
 from oracles import recursion_trace
 
 # depth-1 traversal expanded by hand: lower-left, upper-left, upper-right,
@@ -88,6 +90,34 @@ class TestEncode:
                 inner, _ = hilbert_encode(t, k + 1)
                 assert inner.col // 2 == outer.col
                 assert inner.row // 2 == outer.row
+
+
+class TestRatio:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            0.0, -0.0, 5e-324, -5e-324, 1e308, -2.5, 0.1,
+            0, -7, 2**80, True, False,
+            Fraction(-3, 8), Fraction(0), Fraction(2**70 + 1, 3**40),
+            np.float64(0.1), np.float64(-0.0), np.int64(-12), np.int64(0),
+        ],
+        ids=repr,
+    )
+    def test_numerator_and_positive_denominator_of_the_exact_value(self, x):
+        num, den = _ratio(x)
+        assert type(num) is int and type(den) is int and den > 0
+        assert (num, den) == Fraction(x).as_integer_ratio()
+
+    def test_decimal_goes_through_float(self):
+        assert _ratio(Decimal("0.1")) == (3602879701896397, 36028797018963968)
+        assert _ratio(Decimal("-2.5")) == (-5, 2)
+
+    @pytest.mark.parametrize(
+        "x", [math.inf, -math.inf, math.nan, np.float64("inf"), np.float64("nan")], ids=repr
+    )
+    def test_non_finite_values_are_rejected(self, x):
+        with pytest.raises(DomainError):
+            _ratio(x)
 
 
 class TestDecode:

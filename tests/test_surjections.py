@@ -306,6 +306,27 @@ class TestPreimage:
         value = evaluate_to_precision(pipe, witness, 1e-12 / 64).value
         assert max(abs(v - y) for v, y in zip(value, target)) <= 1e-12
 
+    def test_inversion_errors_name_the_node_that_failed(self):
+        # the sinh stage under a lift cannot reach the tolerance that the
+        # lift's pair depth asks of its inner map
+        member = make_diagonal_family([1.0], 2)[0]
+        pipe = lift_dimension(compose_with_base(member, extend_to_line()))
+        with pytest.raises(ResourceError, match=(
+            r"^bisection stalled at .* in the sinh stage of phi_compose coordinate 2 "
+            r"in the inner map of dim_lift$"
+        )):
+            preimage(pipe, (1.0, 0.5, -0.25), 1e-9)
+        chain = extend_to_line()
+        for _ in range(3):
+            chain = lift_dimension(chain)
+        # past the depth cap: the innermost lift's pair, then the curve under it
+        for eps, node in ((1e-306, "the pair of dim_lift"), (1e-200, "the inner map of dim_lift")):
+            with pytest.raises(ResourceError, match=(
+                rf"^preimage depth \d+ exceeds cap 4096 in {node}"
+                r"( in the inner map of dim_lift){2}$"
+            )):
+                preimage(chain, (0.5,) * 5, eps)
+
     def test_deep_tolerances_still_succeed_thanks_to_exact_witnesses(self):
         # the decoded parameter is an exact rational, so the forward value
         # eventually coincides with the float target bit for bit
