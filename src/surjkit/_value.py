@@ -1,11 +1,17 @@
 """The base of surjkit's immutable value types.
 
 A value class names its constructor fields, in order, in ``_fields`` and
-keeps them in ``__slots__``. Its own ``__init__`` validates the arguments
-and stores each field with ``set_field``; afterwards the instance refuses
-assignment and deletion. Two instances are equal exactly when they are of
-the same class and their compared fields (``_key``) are equal; the hash
-follows the same fields, and the repr reads ``Name(field=value, ...)``.
+keeps them in ``__slots__``. The shared constructor binds positionals in
+``_fields`` order, then keywords, fills a field left out from the class's
+``_defaults``, and stores each field with ``set_field``; too many
+positionals, an unknown keyword, a field given twice or a missing one
+raise ``TypeError``. A class writes its own ``__init__``, storing with
+``set_field`` too, only to validate or convert its arguments, or when it
+is built per target (``Witness``, ``ScalarSpan``) and the generic binding
+would cost too much. The instance then refuses assignment and deletion.
+Two instances are equal exactly when they are of the same class and their
+compared fields (``_key``) are equal; the hash follows the same fields, and
+the repr reads ``Name(field=value, ...)``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,23 @@ class Value:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} arguments, got {len(args)}")
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name} has no field {field!r}")
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name} got {field!r} twice")
+            set_field(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs and field not in self._defaults:
+                raise TypeError(f"{name} is missing field {field!r}")
+            set_field(self, field, kwargs[field] if field in kwargs else self._defaults[field])
 
     def _key(self) -> tuple:
         """The fields that equality and hashing read."""

@@ -91,22 +91,7 @@ class CoverageCertificate(Value):
     witnesses: tuple[Witness, ...]
     status: str  # "certified" | "failed"
     worst_target: Optional[tuple[float, ...]]
-
-    def __init__(
-        self,
-        function_id: str,
-        box: BoxSpec,
-        epsilon: float,
-        witnesses: tuple[Witness, ...],
-        status: str,
-        worst_target: Optional[tuple[float, ...]] = None,
-    ):
-        set_field(self, "function_id", function_id)
-        set_field(self, "box", box)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "witnesses", witnesses)
-        set_field(self, "status", status)
-        set_field(self, "worst_target", worst_target)
+    _defaults = {"worst_target": None}
 
     @property
     def certified(self) -> bool:
@@ -202,22 +187,7 @@ class IndependenceReport(Value):
     rank: int
     tolerance: float
     pivot_ratios: tuple[float, ...]
-
-    def __init__(
-        self,
-        family: tuple[str, ...],
-        points: tuple[tuple[float, ...], ...],
-        matrix_shape: tuple[int, int],
-        rank: int,
-        tolerance: float,
-        pivot_ratios: tuple[float, ...] = (),
-    ):
-        set_field(self, "family", family)
-        set_field(self, "points", points)
-        set_field(self, "matrix_shape", matrix_shape)
-        set_field(self, "rank", rank)
-        set_field(self, "tolerance", tolerance)
-        set_field(self, "pivot_ratios", pivot_ratios)
+    _defaults = {"pivot_ratios": ()}
 
     def _key(self) -> tuple:
         return self.family, self.points, self.matrix_shape, self.rank, self.tolerance
@@ -325,10 +295,6 @@ class CompositionRankReport(Value):
     __slots__ = _fields = ("composed", "direct")
     composed: IndependenceReport
     direct: IndependenceReport
-
-    def __init__(self, composed: IndependenceReport, direct: IndependenceReport):
-        set_field(self, "composed", composed)
-        set_field(self, "direct", direct)
 
     @property
     def ranks_equal(self) -> bool:

@@ -36,7 +36,7 @@ from .certify import (
     default_sample_points,
     independence_report,
 )
-from ._value import Value, set_field
+from ._value import Value
 from .curve import DEFAULT_DEPTH_CAP, _trace_blocks
 from .errors import (
     DegenerateMemberError,
@@ -116,22 +116,6 @@ class SpecFile(Value):
     member: Optional[VectorSpanMember]
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
-
-    def __init__(
-        self,
-        base_lifts: int,
-        base_project_to: int,
-        family_members: tuple[VectorSpanMember, ...],
-        member: Optional[VectorSpanMember],
-        certify_box: Optional[BoxSpec],
-        certify_epsilon: Optional[float],
-    ):
-        set_field(self, "base_lifts", base_lifts)
-        set_field(self, "base_project_to", base_project_to)
-        set_field(self, "family_members", family_members)
-        set_field(self, "member", member)
-        set_field(self, "certify_box", certify_box)
-        set_field(self, "certify_epsilon", certify_epsilon)
 
     def build_base(self) -> FunctionExpr:
         expr: FunctionExpr = extend_to_line()

@@ -139,10 +139,6 @@ class Asymptotics(Value):
     at_plus_infinity: float
     at_minus_infinity: float
 
-    def __init__(self, at_plus_infinity: float, at_minus_infinity: float):
-        set_field(self, "at_plus_infinity", at_plus_infinity)
-        set_field(self, "at_minus_infinity", at_minus_infinity)
-
     @property
     def is_zero(self) -> bool:
         return self.at_plus_infinity == 0.0
@@ -186,8 +182,7 @@ def scalar_solve(s: ScalarSpan, y: float, tol: float) -> float:
             break
         t -= f / slope
 
-    asym = classify_asymptotics(s)
-    positive_side = 1.0 if asym.at_plus_infinity > 0 else -1.0
+    positive_side = math.copysign(1.0, alpha1)
 
     def residual(t: float) -> float:
         v = s.value(t)

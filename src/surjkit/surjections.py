@@ -161,6 +161,7 @@ class DimLift(FunctionExpr):
 
     __slots__ = _fields = ("inner",)
     inner: FunctionExpr
+    domain_arity = 1
 
     def __init__(self, inner: FunctionExpr):
         if inner.domain_arity != 1:
@@ -168,10 +169,6 @@ class DimLift(FunctionExpr):
         if inner.codomain_arity < 2:
             raise StructuralError("lift requires a codomain arity of at least 2")
         set_field(self, "inner", inner)
-
-    @property
-    def domain_arity(self) -> int:
-        return 1
 
     @property
     def codomain_arity(self) -> int:
@@ -336,6 +333,8 @@ def _in_node(err: ResourceError, node: str) -> ResourceError:
 def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
     """The sinh stage for one coordinate: a root u of span = y within tol, and
     the bound on the span's slope over [u - 1, u + 1]."""
+    if not tol > 0:
+        raise ResourceError(f"solve tolerance underflows to {tol}")
     u = scalar_solve(span, y, tol)
     return u, span.derivative_bound(u - 1.0, u + 1.0)
 
@@ -364,13 +363,8 @@ def lift_dimension(f: FunctionExpr, max_codomain: int = 6) -> DimLift:
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
     """S_{1,n} -> S_{m,n} by F(x) = g(x_1); m = 1 returns g unchanged."""
-    if g.domain_arity != 1:
-        raise StructuralError("projection lift requires a domain arity of 1")
-    if target_m < 1:
-        raise DomainError("target domain arity must be at least 1")
-    if target_m == 1:
-        return g
-    return ProjectLift(g, target_m)
+    lifted = ProjectLift(g, target_m)
+    return g if target_m == 1 else lifted
 
 
 def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompose:
@@ -385,10 +379,6 @@ class EvalResult(Value):
     __slots__ = _fields = ("value", "error_estimate")
     value: tuple[float, ...]
     error_estimate: float
-
-    def __init__(self, value: tuple[float, ...], error_estimate: float):
-        set_field(self, "value", value)
-        set_field(self, "error_estimate", error_estimate)
 
 
 def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_EVAL_DEPTH) -> EvalResult:

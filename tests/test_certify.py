@@ -273,6 +273,16 @@ class TestCoverage:
             with pytest.raises(DomainError):
                 BoxSpec((bad, (0, 1)), 2)
 
+    def test_underflowing_solve_tolerance_is_a_resource_failure(self):
+        # eps / 2 rounds to 0.0 at the smallest subnormal eps
+        member = make_diagonal_family([1.0], 2)[0]
+        box = BoxSpec(((-1, 1), (-1, 1)), 2)
+        with pytest.raises(ResourceError) as info:
+            certify_surjective_on_box(member, box, 5e-324)
+        assert str(info.value).startswith("target (-1.0, -1.0): solve tolerance underflows")
+        with pytest.raises(ResourceError, match="in the sinh stage of phi_compose coordinate 1$"):
+            certify_surjective_on_box(compose_with_base(member, extend_to_line()), box, 5e-324)
+
 
 class IdentityWithNan(FunctionExpr):
     """The identity of the plane, except that its limit map reads nan in

@@ -305,6 +305,12 @@ class TestCertify:
                 },
                 "target (-1.0, -1.0): preimage depth inf exceeds cap",
             ),
+            # the sinh stage's half tolerance underflows to 0.0
+            (
+                {**README_SPEC, "certify": {**README_SPEC["certify"], "epsilon": "5e-324"}},
+                "target (-10.0, -10.0, -10.0): solve tolerance underflows to 0.0"
+                " in the sinh stage of phi_compose coordinate 1",
+            ),
         ]
         for data, message in cases:
             spec = write_spec(tmp_path, data)

@@ -141,6 +141,12 @@ class TestProjectLift:
     def test_bad_arity_rejected(self):
         with pytest.raises(DomainError):
             project_lift(extend_to_line(), 0)
+        # the inner map's arity is checked first, even where m = 1 would
+        # return it unchanged
+        inner = project_lift(extend_to_line(), 2)
+        for target_m in (0, 1, 3):
+            with pytest.raises(StructuralError):
+                project_lift(inner, target_m)
 
 
 class TestEvaluate:

@@ -235,3 +235,26 @@ class TestValidation:
 
     def test_phi_compose_reduces_its_spans(self):
         assert make(PhiCompose).spans == tuple(MEMBER.components())
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_constructor_rejects_misbound_arguments(cls):
+    kwargs = CASES[cls][0]
+    args = list(kwargs.values())
+    with pytest.raises(TypeError):
+        cls(*args, 0)
+    with pytest.raises(TypeError):
+        cls(**kwargs, not_a_field=0)
+    if not kwargs:
+        return  # no field to give twice or leave out
+    with pytest.raises(TypeError):
+        cls(*args[:1], **kwargs)
+    for name in kwargs:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError):
+                cls(**{key: value for key, value in kwargs.items() if key != name})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_defaults_name_constructor_fields(cls):
+    assert set(cls._defaults) <= set(cls._fields)
