@@ -4,120 +4,58 @@ The package builds explicit plane-filling maps from an exact Hilbert-curve
 codec, lifts them to arbitrary finite dimensions, spans a large family of
 surjections from sinh-type homeomorphisms, and certifies surjectivity and
 independence numerically on compact boxes.
+
+Names load on first access: ``import surjkit`` imports no submodule, and
+``surjkit.preimage`` (or ``from surjkit import preimage``) imports
+``surjkit.surjections`` the first time it is looked up. A command that uses
+only the curve layer thus never compiles the spans or certify code.
 """
 
-from .curve import (
-    CellAddress,
-    CurveParam,
-    PlanePoint,
-    curve_trace,
-    hilbert_decode,
-    hilbert_encode,
-    modulus_bound,
-)
-from .errors import (
-    DegenerateMemberError,
-    DomainError,
-    NoSolutionError,
-    RefinementError,
-    ResourceError,
-    StructuralError,
-)
-from .spans import (
-    Asymptotics,
-    ScalarSpan,
-    VectorSpanMember,
-    classify_asymptotics,
-    combine_members,
-    component_reduce,
-    make_diagonal_family,
-    make_scalar_span,
-    phi_eval,
-    phi_inverse,
-    scalar_solve,
-)
-from .surjections import (
-    DimLift,
-    EvalResult,
-    FunctionExpr,
-    PeanoLine,
-    PhiCompose,
-    ProjectLift,
-    compose_with_base,
-    evaluate_at,
-    evaluate_to_precision,
-    expr_from_dict,
-    expr_to_dict,
-    extend_to_line,
-    lift_dimension,
-    preimage,
-    project_lift,
-)
-from .certify import (
-    BoxSpec,
-    CompositionRankReport,
-    CoverageCertificate,
-    IndependenceReport,
-    Witness,
-    certify_surjective_on_box,
-    composition_preserves_rank,
-    default_sample_points,
-    detect_degenerate,
-    equispaced_points,
-    independence_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Asymptotics",
-    "BoxSpec",
-    "CellAddress",
-    "CompositionRankReport",
-    "CoverageCertificate",
-    "CurveParam",
-    "DegenerateMemberError",
-    "DimLift",
-    "DomainError",
-    "EvalResult",
-    "FunctionExpr",
-    "IndependenceReport",
-    "NoSolutionError",
-    "PeanoLine",
-    "PhiCompose",
-    "PlanePoint",
-    "ProjectLift",
-    "RefinementError",
-    "ResourceError",
-    "ScalarSpan",
-    "StructuralError",
-    "VectorSpanMember",
-    "Witness",
-    "certify_surjective_on_box",
-    "classify_asymptotics",
-    "combine_members",
-    "component_reduce",
-    "compose_with_base",
-    "composition_preserves_rank",
-    "curve_trace",
-    "default_sample_points",
-    "detect_degenerate",
-    "equispaced_points",
-    "evaluate_at",
-    "evaluate_to_precision",
-    "expr_from_dict",
-    "expr_to_dict",
-    "extend_to_line",
-    "hilbert_decode",
-    "hilbert_encode",
-    "independence_report",
-    "lift_dimension",
-    "make_diagonal_family",
-    "make_scalar_span",
-    "modulus_bound",
-    "phi_eval",
-    "phi_inverse",
-    "preimage",
-    "project_lift",
-    "scalar_solve",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "curve": (
+        "CellAddress", "CurveParam", "PlanePoint", "curve_trace", "hilbert_decode",
+        "hilbert_encode", "modulus_bound",
+    ),
+    "errors": (
+        "DegenerateMemberError", "DomainError", "NoSolutionError", "RefinementError",
+        "ResourceError", "StructuralError",
+    ),
+    "spans": (
+        "Asymptotics", "ScalarSpan", "VectorSpanMember", "classify_asymptotics",
+        "combine_members", "component_reduce", "make_diagonal_family", "make_scalar_span",
+        "phi_eval", "phi_inverse", "scalar_solve",
+    ),
+    "surjections": (
+        "DimLift", "EvalResult", "FunctionExpr", "PeanoLine", "PhiCompose", "ProjectLift",
+        "compose_with_base", "evaluate_at", "evaluate_to_precision", "expr_from_dict",
+        "expr_to_dict", "extend_to_line", "lift_dimension", "preimage", "project_lift",
+    ),
+    "certify": (
+        "BoxSpec", "CompositionRankReport", "CoverageCertificate", "IndependenceReport",
+        "Witness", "certify_surjective_on_box", "composition_preserves_rank",
+        "default_sample_points", "detect_degenerate", "equispaced_points",
+        "independence_report",
+    ),
+}
+_DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFINED_IN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -14,28 +14,20 @@ reals are finite decimal strings, counts are JSON integers; unknown keys
 are rejected. It describes exactly one pipeline: a factory constructor
 chain, optionally followed by a span member built from diagonal basis
 coefficients or explicit terms.
+
+Each command imports what it runs: `trace` loads only the curve layer,
+`eval` also loads spans and surjections (and certify only for a spec with a
+`certify` section), and `certify` loads all four layers.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import random
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .certify import (
-    BoxSpec,
-    CoverageCertificate,
-    DEFAULT_TARGET_BUDGET,
-    IndependenceReport,
-    certify_surjective_on_box,
-    default_sample_points,
-    independence_report,
-)
 from ._value import Value
 from .curve import DEFAULT_DEPTH_CAP, _trace_blocks
 from .errors import (
@@ -46,16 +38,11 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .spans import VectorSpanMember, combine_members, make_diagonal_family
-from .surjections import (
-    DEFAULT_EVAL_DEPTH,
-    FunctionExpr,
-    compose_with_base,
-    evaluate_at,
-    extend_to_line,
-    lift_dimension,
-    project_lift,
-)
+
+if TYPE_CHECKING:  # the commands import these where they run them
+    from .certify import BoxSpec, CoverageCertificate, IndependenceReport
+    from .spans import VectorSpanMember
+    from .surjections import FunctionExpr
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 1
@@ -118,12 +105,16 @@ class SpecFile(Value):
     certify_epsilon: Optional[float]
 
     def build_base(self) -> FunctionExpr:
+        from .surjections import extend_to_line, lift_dimension, project_lift
+
         expr: FunctionExpr = extend_to_line()
         for _ in range(self.base_lifts):
             expr = lift_dimension(expr)
         return project_lift(expr, self.base_project_to)
 
     def build_pipeline(self) -> FunctionExpr:
+        from .surjections import compose_with_base
+
         base = self.build_base()
         if self.member is None:
             return base
@@ -181,6 +172,8 @@ def parse_spec_data(data: dict) -> SpecFile:
     members: tuple[VectorSpanMember, ...] = ()
     member: Optional[VectorSpanMember] = None
     if "family" in data:
+        from .spans import VectorSpanMember, combine_members, make_diagonal_family
+
         family = data["family"]
         _check_keys(
             family, {"diagonal_exponents", "coefficients", "terms"}, set(), "family"
@@ -215,6 +208,8 @@ def parse_spec_data(data: dict) -> SpecFile:
     box = None
     epsilon = None
     if "certify" in data:
+        from .certify import BoxSpec
+
         cert = data["certify"]
         _check_keys(cert, {"box", "grid", "epsilon"}, {"box", "grid", "epsilon"}, "certify")
         bounds = []
@@ -251,6 +246,8 @@ def parse_spec_data(data: dict) -> SpecFile:
 
 
 def parse_spec_file(path: str) -> SpecFile:
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -269,6 +266,8 @@ def parse_spec_file(path: str) -> SpecFile:
 
 def _block(value, level: int) -> str:
     """value as json.dump(..., indent=2, sort_keys=True) writes it at a nesting level."""
+    import json
+
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
@@ -291,6 +290,8 @@ def _write_report(
     looked up by value. Zero is left out, as -0.0 == 0.0 share a key but
     print apart; a value off the grid is formatted where it is met.
     """
+    from json.encoder import encode_basestring_ascii
+
     grid_text = {x: format_real(x) for axis in cert.box._axes() for x in axis if x}
     box = {
         "bounds": [[format_real(lo), format_real(hi)] for lo, hi in cert.box.bounds],
@@ -368,22 +369,29 @@ def cmd_trace(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .surjections import DEFAULT_EVAL_DEPTH, evaluate_at
+
     spec = parse_spec_file(args.spec)
     pipeline = spec.build_pipeline()
     point = tuple(_real(v, "--point") for v in args.point.split(","))
-    result = evaluate_at(pipeline, point, args.depth)
+    depth = DEFAULT_EVAL_DEPTH if args.depth is None else args.depth
+    result = evaluate_at(pipeline, point, depth)
     print(" ".join(format_real(v) for v in result.value))
     print(f"error {format_real(result.error_estimate)}")
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
+    from .certify import DEFAULT_TARGET_BUDGET, certify_surjective_on_box, independence_report
+    from .surjections import compose_with_base
+
     spec = parse_spec_file(args.spec)
     if spec.certify_box is None:
         raise SpecError("spec has no 'certify' section")
     pipeline = spec.build_pipeline()
+    budget = DEFAULT_TARGET_BUDGET if args.budget is None else args.budget
     certificate = certify_surjective_on_box(
-        pipeline, spec.certify_box, spec.certify_epsilon, target_budget=args.budget
+        pipeline, spec.certify_box, spec.certify_epsilon, target_budget=budget
     )
 
     independence: Optional[IndependenceReport] = None
@@ -394,7 +402,7 @@ def cmd_certify(args) -> int:
         independence = independence_report(composed, points)
 
     with open(args.report, "w", encoding="utf-8") as fh:
-        _write_report(fh, certificate, independence, {"budget": args.budget, "seed": args.seed})
+        _write_report(fh, certificate, independence, {"budget": budget, "seed": args.seed})
 
     ok = certificate.certified and (independence is None or independence.full_rank)
     print(f"status {certificate.status}")
@@ -404,6 +412,10 @@ def cmd_certify(args) -> int:
 
 
 def _sample_points(size: int, arity: int, seed: Optional[int]) -> list[tuple[float, ...]]:
+    import random
+
+    from .certify import default_sample_points
+
     count = max(16, 2 * size)
     if seed is None:
         return default_sample_points(count, arity)
@@ -427,13 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate the pipeline of a spec file")
     p_eval.add_argument("--spec", required=True)
     p_eval.add_argument("--point", required=True)
-    p_eval.add_argument("--depth", type=int, default=DEFAULT_EVAL_DEPTH)
+    p_eval.add_argument("--depth", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 
     p_cert = sub.add_parser("certify", help="run certificates and write a report")
     p_cert.add_argument("--spec", required=True)
     p_cert.add_argument("--report", required=True)
-    p_cert.add_argument("--budget", type=int, default=DEFAULT_TARGET_BUDGET)
+    p_cert.add_argument("--budget", type=int, default=None)
     p_cert.add_argument("--seed", type=int, default=None)
     p_cert.set_defaults(func=cmd_certify)
     return parser

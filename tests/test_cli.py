@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+import surjkit.certify
+import surjkit.surjections
 from surjkit import BoxSpec, CoverageCertificate, IndependenceReport, Witness, curve_trace
 from surjkit.curve import _TRACE_BLOCK
 from surjkit.cli import (
@@ -193,6 +195,17 @@ class TestEval:
         assert lines[0] == "0 0"
         assert lines[1].startswith("error ")
 
+    def test_default_depth_is_the_library_default(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, README_SPEC)
+        point = ["--point", "0.7,0.3"]
+        assert main(["eval", "--spec", spec, *point]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(["eval", "--spec", spec, *point, "--depth", "12"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        assert surjkit.surjections.DEFAULT_EVAL_DEPTH == 12
+        assert main(["eval", "--spec", spec, *point, "--depth", "5"]) == EXIT_OK
+        assert capsys.readouterr().out != default  # the depth is read
+
     def test_trailing_coordinates_do_not_matter(self, tmp_path, capsys):
         spec = write_spec(tmp_path, PROJECTION_SPEC)
         assert main(["eval", "--spec", spec, "--point", "1.25,7,9"]) == EXIT_OK
@@ -270,6 +283,13 @@ class TestCertify:
     def test_missing_certify_section_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, BASE_ONLY)
         assert main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+
+    def test_default_budget_is_recorded(self, tmp_path):
+        spec = write_spec(tmp_path, CERTIFY_SPEC)
+        report = tmp_path / "r.json"
+        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_OK
+        budget = json.loads(report.read_text())["settings"]["budget"]
+        assert budget == surjkit.certify.DEFAULT_TARGET_BUDGET == 100000
 
     def test_budget_flag_limits_targets(self, tmp_path, capsys):
         spec = write_spec(tmp_path, CERTIFY_SPEC)
@@ -540,13 +560,25 @@ class TestSpecValidation:
         assert main(["eval", "--spec", spec, "--point", "0"]) == EXIT_VALIDATION
 
 
+TINY_README_SPEC = {  # the README spec on a grid of 2 per axis
+    "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 2},
+    "family": {"diagonal_exponents": ["1.0", "2.0"], "coefficients": ["1", "-1"]},
+    "certify": {"box": [["-10", "10"]] * 3, "grid": 2, "epsilon": "1e-3"},
+}
+
+# modules that only the eval and certify commands run
+CERTIFY_STACK = {"surjkit.spans", "surjkit.surjections", "surjkit.certify", "json"}
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_command_line_runs_without_numpy(tmp_path):
-    readme_spec = {  # the README spec on a grid of 2 per axis
-        "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 2},
-        "family": {"diagonal_exponents": ["1.0", "2.0"], "coefficients": ["1", "-1"]},
-        "certify": {"box": [["-10", "10"]] * 3, "grid": 2, "epsilon": "1e-3"},
-    }
-    spec_path = write_spec(tmp_path, readme_spec)
+    spec_path = write_spec(tmp_path, TINY_README_SPEC)
     script = (
         "import sys, surjkit.cli\n"
         "loaded = 'numpy' in sys.modules\n"
@@ -555,28 +587,48 @@ def test_command_line_runs_without_numpy(tmp_path):
         f"assert surjkit.cli.main(['trace', '--depth', '5', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
         "print(loaded, 'numpy' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False"
 
 
-def test_cli_import_adds_neither_dataclasses_nor_inspect():
+def test_cli_import_adds_neither_dataclasses_nor_inspect(tmp_path):
     # every command pays for start-up; dataclasses pulls in inspect, ast,
-    # dis and tokenize, and its decorators exec generated methods
+    # dis and tokenize, and its decorators exec generated methods; trace
+    # runs only the curve layer, so it loads none of the certify stack
+    spec_path = write_spec(tmp_path, TINY_README_SPEC)
     script = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import surjkit.cli\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+        f"assert surjkit.cli.main(['trace', '--depth', '3', '--out', {str(tmp_path / 't.csv')!r}]) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+        f"assert surjkit.cli.main(['certify', '--spec', {spec_path!r}, "
+        f"'--report', {str(tmp_path / 'r.json')!r}]) == 0\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    lines = proc.stdout.splitlines()  # certify prints its status lines in between
+    added, after_trace, after_certify = (set(line.split()) for line in (*lines[:2], lines[-1]))
     assert "surjkit.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & CERTIFY_STACK
+    assert not after_trace & CERTIFY_STACK
+    assert CERTIFY_STACK <= after_certify
+    assert not after_certify & {"dataclasses", "inspect"}
+
+
+def test_commands_run_warning_free_under_w_error(tmp_path):
+    # runpy warns when `python -m surjkit.cli` finds surjkit.cli already
+    # imported, as it would be if the package imported it; -W error makes
+    # that warning, and any import cycle of the deferred imports, a failure
+    spec_path = write_spec(tmp_path, TINY_README_SPEC)
+    commands = [
+        ["trace", "--depth", "2", "--out", str(tmp_path / "t.csv")],
+        ["eval", "--spec", spec_path, "--point", "0.5,0.25"],
+        ["certify", "--spec", spec_path, "--report", str(tmp_path / "r.json")],
+    ]
+    for argv in commands:
+        proc = run_python("-W", "error", "-m", "surjkit.cli", *argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
