@@ -23,7 +23,6 @@ Each command imports what it runs: `trace` loads only the curve layer,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -49,10 +48,6 @@ EXIT_UNCERTIFIED = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_DEGENERATE = 4
-
-
-class SpecError(ValueError):
-    """Spec file is malformed; message carries location context."""
 
 
 def format_real(x: float) -> str:
@@ -121,52 +116,21 @@ class SpecFile(Value):
         return compose_with_base(self.member, base)
 
 
-def _check_keys(section: dict, allowed: set, required: set, where: str) -> None:
-    if not isinstance(section, dict):
-        raise SpecError(f"section '{where}' must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise SpecError(f"unknown keys {sorted(unknown)} in section '{where}'")
-    missing = required - set(section)
-    if missing:
-        raise SpecError(f"missing keys {sorted(missing)} in section '{where}'")
-
-
-def _real(value, where: str) -> float:
-    x = math.nan  # a bool or an unparsable value is rejected with inf and nan
-    if not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-    if not math.isfinite(x):
-        raise SpecError(f"expected a finite decimal string in '{where}', got {value!r}")
-    return x
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"expected an integer in '{where}', got {value!r}")
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise SpecError(f"expected a list in '{where}', got {value!r}")
-    return value
-
-
 def parse_spec_data(data: dict) -> SpecFile:
+    """The spec's pipeline; a malformed spec raises StructuralError, or
+    DomainError for a value its constructor refuses."""
+    from .surjections import _check_keys, _integer, _list, _real, _terms
+
     _check_keys(data, {"base", "family", "certify", "output"}, {"base"}, "spec")
 
     base = data["base"]
     _check_keys(base, {"construct", "lifts", "project_to"}, {"construct"}, "base")
     if base["construct"] != "extend_to_line":
-        raise SpecError(f"unknown base construct {base['construct']!r}")
+        raise StructuralError(f"unknown base construct {base['construct']!r}")
     lifts = _integer(base.get("lifts", 0), "base.lifts")
     project_to = _integer(base.get("project_to", 1), "base.project_to")
     if lifts < 0:
-        raise SpecError("base.lifts must be non-negative")
+        raise StructuralError("base.lifts must be non-negative")
     codomain = 2 + lifts
 
     members: tuple[VectorSpanMember, ...] = ()
@@ -180,19 +144,8 @@ def parse_spec_data(data: dict) -> SpecFile:
         )
         if "terms" in family:
             if "diagonal_exponents" in family or "coefficients" in family:
-                raise SpecError("family takes either explicit terms or a diagonal basis")
-            terms = []
-            for i, entry in enumerate(_list(family["terms"], "family.terms")):
-                _check_keys(entry, {"coefficient", "exponents"}, {"coefficient", "exponents"},
-                            f"family.terms[{i}]")
-                where = "family.terms.exponents"
-                exps = tuple(_real(r, where) for r in _list(entry["exponents"], where))
-                if len(exps) != codomain:
-                    raise SpecError(
-                        f"family.terms[{i}] has {len(exps)} exponents, base produces {codomain}"
-                    )
-                terms.append((_real(entry["coefficient"], "family.terms.coefficient"), exps))
-            member = VectorSpanMember(tuple(terms), codomain)
+                raise StructuralError("family takes either explicit terms or a diagonal basis")
+            member = VectorSpanMember(_terms(family["terms"], codomain, "family.terms"), codomain)
         elif "diagonal_exponents" in family:
             where = "family.diagonal_exponents"
             exps = [_real(r, where) for r in _list(family["diagonal_exponents"], where)]
@@ -200,10 +153,12 @@ def parse_spec_data(data: dict) -> SpecFile:
             raw = _list(family.get("coefficients", ["1"] * len(exps)), "family.coefficients")
             coefficients = tuple(_real(c, "family.coefficients") for c in raw)
             if len(coefficients) != len(members):
-                raise SpecError("family.coefficients must match diagonal_exponents in length")
+                raise StructuralError(
+                    "family.coefficients must match diagonal_exponents in length"
+                )
             member = combine_members(coefficients, members)
         else:
-            raise SpecError("family needs diagonal_exponents or terms")
+            raise StructuralError("family needs diagonal_exponents or terms")
 
     box = None
     epsilon = None
@@ -215,25 +170,22 @@ def parse_spec_data(data: dict) -> SpecFile:
         bounds = []
         for i, pair in enumerate(_list(cert["box"], "certify.box")):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise SpecError(f"certify.box[{i}] must be a [low, high] pair")
+                raise StructuralError(f"certify.box[{i}] must be a [low, high] pair")
             bounds.append((_real(pair[0], "certify.box"), _real(pair[1], "certify.box")))
         if len(bounds) != codomain:
-            raise SpecError(
+            raise StructuralError(
                 f"certify.box has {len(bounds)} coordinates, pipeline produces {codomain}"
             )
         epsilon = _real(cert["epsilon"], "certify.epsilon")
         if epsilon <= 0:
-            raise SpecError("certify.epsilon must be positive")
-        try:
-            box = BoxSpec(tuple(bounds), _integer(cert["grid"], "certify.grid"))
-        except DomainError as err:
-            raise SpecError(str(err)) from None
+            raise StructuralError("certify.epsilon must be positive")
+        box = BoxSpec(tuple(bounds), _integer(cert["grid"], "certify.grid"))
 
     if "output" in data:
         _check_keys(data["output"], {"format"}, set(), "output")
         output_format = data["output"].get("format", "json")
         if output_format != "json":
-            raise SpecError(f"unsupported output format {output_format!r}")
+            raise StructuralError(f"unsupported output format {output_format!r}")
 
     return SpecFile(
         base_lifts=lifts,
@@ -252,9 +204,9 @@ def parse_spec_file(path: str) -> SpecFile:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as err:
-        raise SpecError(f"cannot read spec file: {err}") from None
+        raise StructuralError(f"cannot read spec file: {err}") from None
     except json.JSONDecodeError as err:
-        raise SpecError(
+        raise StructuralError(
             f"spec parse error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
     return parse_spec_data(data)
@@ -369,7 +321,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .surjections import DEFAULT_EVAL_DEPTH, evaluate_at
+    from .surjections import DEFAULT_EVAL_DEPTH, _real, evaluate_at
 
     spec = parse_spec_file(args.spec)
     pipeline = spec.build_pipeline()
@@ -387,7 +339,7 @@ def cmd_certify(args) -> int:
 
     spec = parse_spec_file(args.spec)
     if spec.certify_box is None:
-        raise SpecError("spec has no 'certify' section")
+        raise StructuralError("spec has no 'certify' section")
     pipeline = spec.build_pipeline()
     budget = DEFAULT_TARGET_BUDGET if args.budget is None else args.budget
     certificate = certify_surjective_on_box(
@@ -462,10 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ResourceError, RefinementError) as err:
         print(f"resource failure: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SpecError, DomainError, StructuralError, NoSolutionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as err:
+    except (DomainError, StructuralError, NoSolutionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -219,15 +219,6 @@ def _cell(xn: int, xd: int, yn: int, yd: int, k: int) -> tuple[int, int]:
     return (col if col > 0 else 0), (row if row > 0 else 0)
 
 
-def cell_of(p: PlanePoint | tuple, k: int) -> CellAddress:
-    """Depth-k cell containing p; boundary ties break toward the lower left."""
-    x, y = (p.x, p.y) if isinstance(p, PlanePoint) else p
-    (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
-    if not (0 <= xn <= xd and 0 <= yn <= yd):
-        raise DomainError(f"point ({x}, {y}) outside the unit square")
-    return CellAddress(k, *_cell(xn, xd, yn, yd, k))
-
-
 def hilbert_decode(p: PlanePoint | tuple, k: int) -> CurveParam:
     """A parameter whose depth-k cell contains p.
 
@@ -236,8 +227,11 @@ def hilbert_decode(p: PlanePoint | tuple, k: int) -> CurveParam:
     """
     if k < 0:
         raise DomainError("depth must be non-negative")
-    cell = cell_of(p, k)
-    return CurveParam(_xy2d(k, cell.col, cell.row), k)
+    x, y = (p.x, p.y) if isinstance(p, PlanePoint) else p
+    (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+    if not (0 <= xn <= xd and 0 <= yn <= yd):
+        raise DomainError(f"point ({x}, {y}) outside the unit square")
+    return CurveParam(_xy2d(k, *_cell(xn, xd, yn, yd, k)), k)
 
 
 def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:

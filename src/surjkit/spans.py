@@ -118,14 +118,18 @@ def make_scalar_span(pairs: Iterable[tuple[float, float]]) -> ScalarSpan:
     """Merge equal exponents, drop zero coefficients, sort descending by exponent.
 
     Exponent equality is exact equality of the stored float: near-equal
-    exponents are distinct terms and must be merged by the caller.
+    exponents are distinct terms and must be merged by the caller. A merged
+    coefficient or an exponent that is not finite raises DomainError.
     """
     merged: dict[float, float] = {}
     for alpha, r in pairs:
         r = float(r)
-        if r <= 0:
-            raise DomainError(f"exponent must be positive, got {r}")
-        merged[r] = merged.get(r, 0.0) + float(alpha)
+        if not 0 < r < math.inf:
+            raise DomainError(f"exponent must be positive and finite, got {r}")
+        alpha = merged.get(r, 0.0) + float(alpha)
+        if not math.isfinite(alpha):
+            raise DomainError(f"coefficient {alpha} of exponent {r} is not finite")
+        merged[r] = alpha
     terms = tuple(
         (alpha, r) for r, alpha in sorted(merged.items(), reverse=True) if alpha != 0.0
     )
@@ -234,8 +238,8 @@ class VectorSpanMember(Value):
     arity: int
 
     def __init__(self, terms: Iterable[tuple[float, Sequence[float]]], arity: int):
-        if arity < 1:
-            raise DomainError("arity must be at least 1")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+            raise DomainError(f"arity must be an integer >= 1, got {arity!r}")
         merged: dict[tuple[float, ...], float] = {}
         for lam, rvec in terms:
             rvec = tuple(float(r) for r in rvec)
@@ -243,9 +247,12 @@ class VectorSpanMember(Value):
                 raise DomainError(
                     f"exponent vector {rvec} has length {len(rvec)}, expected {arity}"
                 )
-            if any(r <= 0 for r in rvec):
-                raise DomainError(f"exponent vector {rvec} must be strictly positive")
-            merged[rvec] = merged.get(rvec, 0.0) + float(lam)
+            if not all([0 < r < math.inf for r in rvec]):
+                raise DomainError(f"exponent vector {rvec} must be finite and strictly positive")
+            lam = merged.get(rvec, 0.0) + float(lam)
+            if not math.isfinite(lam):
+                raise DomainError(f"coefficient {lam} of exponent vector {rvec} is not finite")
+            merged[rvec] = lam
         normalized = tuple(
             (lam, rvec) for rvec, lam in sorted(merged.items(), reverse=True) if lam != 0.0
         )
@@ -288,8 +295,8 @@ def make_diagonal_family(exponents: Sequence[float], n: int) -> list[VectorSpanM
     Every coordinate of a nonzero combination reduces to the same nonzero
     scalar span, so the combination is surjective coordinate by coordinate.
     """
-    if n < 1:
-        raise DomainError("arity must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DomainError(f"arity must be an integer >= 1, got {n!r}")
     values = [float(r) for r in exponents]
     if len(set(values)) != len(values):
         raise DomainError("diagonal family exponents must be pairwise distinct")

@@ -49,9 +49,11 @@ Real = Union[int, float, Fraction]
 
 class FunctionExpr(Value):
     """Base of the immutable expression tree; nodes are value types, equal
-    exactly when they are the same kind of node with equal fields."""
+    exactly when they are the same kind of node with equal fields. A node's
+    kind names it in the dict form, and its _fields are the dict's keys."""
 
     __slots__ = ()
+    kind: str
     domain_arity: int
     codomain_arity: int
 
@@ -69,14 +71,12 @@ class FunctionExpr(Value):
     def describe(self) -> str:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 class PeanoLine(FunctionExpr):
     """The line-to-plane surjection; domain arity 1, codomain arity 2."""
 
     __slots__ = ()
+    kind = "peano_line"
     domain_arity = 1
     codomain_arity = 2
 
@@ -151,9 +151,6 @@ class PeanoLine(FunctionExpr):
     def describe(self) -> str:
         return "peano_line"
 
-    def to_dict(self) -> dict:
-        return {"kind": "peano_line"}
-
 
 class DimLift(FunctionExpr):
     """Expands the last output coordinate of an S_{1,n} tree through a
@@ -161,6 +158,7 @@ class DimLift(FunctionExpr):
 
     __slots__ = _fields = ("inner",)
     inner: FunctionExpr
+    kind = "dim_lift"
     domain_arity = 1
 
     def __init__(self, inner: FunctionExpr):
@@ -199,9 +197,6 @@ class DimLift(FunctionExpr):
     def describe(self) -> str:
         return f"dim_lift({self.inner.describe()})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "dim_lift", "inner": self.inner.to_dict()}
-
 
 class ProjectLift(FunctionExpr):
     """Reads only the first input coordinate: F(x_1, ..., x_m) = g(x_1)."""
@@ -209,12 +204,13 @@ class ProjectLift(FunctionExpr):
     __slots__ = _fields = ("inner", "arity")
     inner: FunctionExpr
     arity: int
+    kind = "project_lift"
 
     def __init__(self, inner: FunctionExpr, arity: int):
         if inner.domain_arity != 1:
             raise StructuralError("projection lift requires an inner domain arity of 1")
-        if arity < 1:
-            raise DomainError("target domain arity must be at least 1")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+            raise DomainError(f"target domain arity must be an integer >= 1, got {arity!r}")
         set_field(self, "inner", inner)
         set_field(self, "arity", arity)
 
@@ -236,9 +232,6 @@ class ProjectLift(FunctionExpr):
     def describe(self) -> str:
         return f"project_lift[m={self.arity}]({self.inner.describe()})"
 
-    def to_dict(self) -> dict:
-        return {"kind": "project_lift", "arity": self.arity, "inner": self.inner.to_dict()}
-
 
 class PhiCompose(FunctionExpr):
     """A vector span member applied after a base surjection.
@@ -252,6 +245,7 @@ class PhiCompose(FunctionExpr):
     member: VectorSpanMember
     inner: FunctionExpr
     spans: tuple[ScalarSpan, ...]
+    kind = "phi_compose"
 
     def __init__(self, member: VectorSpanMember, inner: FunctionExpr):
         if member.arity != inner.codomain_arity:
@@ -305,13 +299,6 @@ class PhiCompose(FunctionExpr):
 
     def describe(self) -> str:
         return f"({self.member.describe()}) o {self.inner.describe()}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "phi_compose",
-            "member": member_to_dict(self.member),
-            "inner": self.inner.to_dict(),
-        }
 
 
 _PAIR = PeanoLine()  # the trailing line-to-plane map of every lift
@@ -402,14 +389,11 @@ def evaluate_to_precision(
     if not 0 < precision < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {precision}")
     point = tuple(point)
-    if len(point) != expr.domain_arity:
-        raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
-    exact = tuple(map(_ratio, point))
     depth = 16
     while depth <= EVAL_DEPTH_CAP:
-        value, est = expr._eval(exact, depth)
-        if est <= precision:
-            return EvalResult(tuple(p / q for p, q in value), est)
+        result = evaluate_at(expr, point, depth)
+        if result.error_estimate <= precision:
+            return result
         depth *= 2
     raise ResourceError(f"could not reach precision {precision} within the depth cap")
 
@@ -464,67 +448,109 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     )
 
 
-def member_to_dict(member: VectorSpanMember) -> dict:
-    return {
-        "arity": member.arity,
-        "terms": [
-            {"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
-            for lam, rvec in member.terms
-        ],
-    }
+# ---------------------------------------------------------------------------
+# reading outside JSON: the CLI spec and the tree dicts share these readers
 
 
-def member_from_dict(data: dict) -> VectorSpanMember:
-    _require_keys(data, {"arity", "terms"}, "member")
-    terms = []
-    for entry in data["terms"]:
-        _require_keys(entry, {"coefficient", "exponents"}, "member term")
-        terms.append(
-            (float(entry["coefficient"]), tuple(float(r) for r in entry["exponents"]))
-        )
-    return VectorSpanMember(tuple(terms), int(data["arity"]))
-
-
-def _require_keys(data: dict, expected: set, what: str) -> None:
+def _check_keys(data, allowed: set, required: set, where: str) -> None:
     if not isinstance(data, dict):
-        raise StructuralError(f"{what} must be a mapping")
-    extra = set(data) - expected
-    missing = expected - set(data)
-    if extra or missing:
-        raise StructuralError(
-            f"{what} keys mismatch: missing {sorted(missing)}, unknown {sorted(extra)}"
-        )
+        raise StructuralError(f"section '{where}' must be an object")
+    unknown = set(data) - allowed
+    if unknown:
+        raise StructuralError(f"unknown keys {sorted(unknown)} in section '{where}'")
+    missing = required - set(data)
+    if missing:
+        raise StructuralError(f"missing keys {sorted(missing)} in section '{where}'")
+
+
+def _real(value, where: str) -> float:
+    x = math.nan  # a bool or an unparsable value is rejected with inf and nan
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            pass
+    if not math.isfinite(x):
+        raise StructuralError(f"expected a finite decimal string in '{where}', got {value!r}")
+    return x
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructuralError(f"expected an integer in '{where}', got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise StructuralError(f"expected a list in '{where}', got {value!r}")
+    return value
+
+
+def _terms(value, arity: int, where: str) -> tuple:
+    """The (coefficient, exponents) pairs of a list of term entries."""
+    terms = []
+    for i, entry in enumerate(_list(value, where)):
+        _check_keys(entry, {"coefficient", "exponents"}, {"coefficient", "exponents"},
+                    f"{where}[{i}]")
+        exps = tuple(_real(r, f"{where}.exponents")
+                     for r in _list(entry["exponents"], f"{where}.exponents"))
+        if len(exps) != arity:
+            raise StructuralError(f"{where}[{i}] has {len(exps)} exponents, base produces {arity}")
+        terms.append((_real(entry["coefficient"], f"{where}.coefficient"), exps))
+    return tuple(terms)
+
+
+def _member(data, where: str) -> VectorSpanMember:
+    _check_keys(data, {"arity", "terms"}, {"arity", "terms"}, where)
+    arity = _integer(data["arity"], f"{where}.arity")
+    return VectorSpanMember(_terms(data["terms"], arity, f"{where}.terms"), arity)
+
+
+_KINDS = {cls.kind: cls for cls in (PeanoLine, DimLift, ProjectLift, PhiCompose)}
+_ARITIES = ("domain_arity", "codomain_arity")
+
+
+def _node_dict(expr: FunctionExpr) -> dict:
+    data = {"kind": expr.kind}
+    for name in expr._fields:
+        value = getattr(expr, name)
+        if name == "inner":
+            value = _node_dict(value)
+        elif name == "member":
+            value = {"arity": value.arity, "terms": [
+                {"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
+                for lam, rvec in value.terms
+            ]}
+        data[name] = value
+    return data
+
+
+def _read_node(data, where: str) -> FunctionExpr:
+    if not isinstance(data, dict):
+        raise StructuralError(f"section '{where}' must be an object")
+    kind = data.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise StructuralError(f"unknown kind {kind!r} in section '{where}'")
+    _check_keys(data, {"kind", *cls._fields, *_ARITIES}, {"kind", *cls._fields}, where)
+    expr = cls(*[_FIELD_READERS[name](data[name], f"{where}.{name}") for name in cls._fields])
+    for name in _ARITIES:
+        if name in data and _integer(data[name], f"{where}.{name}") != getattr(expr, name):
+            raise StructuralError(f"declared {name} {data[name]} does not match the tree")
+    return expr
+
+
+_FIELD_READERS = {"inner": _read_node, "member": _member, "arity": _integer}
 
 
 def expr_to_dict(expr: FunctionExpr) -> dict:
     """Stable declarative form: node kind, arities, children, span parameters."""
-    data = expr.to_dict()
-    data["domain_arity"] = expr.domain_arity
-    data["codomain_arity"] = expr.codomain_arity
-    return data
+    return {**_node_dict(expr), **{name: getattr(expr, name) for name in _ARITIES}}
 
 
 def expr_from_dict(data: dict) -> FunctionExpr:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise StructuralError("expression node must be a mapping with a 'kind'")
-    payload = {k: v for k, v in data.items() if k not in ("domain_arity", "codomain_arity")}
-    kind = payload.pop("kind")
-    if kind == "peano_line":
-        _require_keys(payload, set(), "peano_line node")
-        expr: FunctionExpr = PeanoLine()
-    elif kind == "dim_lift":
-        _require_keys(payload, {"inner"}, "dim_lift node")
-        expr = DimLift(expr_from_dict(payload["inner"]))
-    elif kind == "project_lift":
-        _require_keys(payload, {"arity", "inner"}, "project_lift node")
-        expr = ProjectLift(expr_from_dict(payload["inner"]), int(payload["arity"]))
-    elif kind == "phi_compose":
-        _require_keys(payload, {"member", "inner"}, "phi_compose node")
-        expr = PhiCompose(member_from_dict(payload["member"]), expr_from_dict(payload["inner"]))
-    else:
-        raise StructuralError(f"unknown expression kind {kind!r}")
-    if "domain_arity" in data and int(data["domain_arity"]) != expr.domain_arity:
-        raise StructuralError("declared domain arity does not match the tree")
-    if "codomain_arity" in data and int(data["codomain_arity"]) != expr.codomain_arity:
-        raise StructuralError("declared codomain arity does not match the tree")
-    return expr
+    """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
+    unknown or missing keys, non-finite reals and non-integer arities raise
+    StructuralError."""
+    return _read_node(data, "tree")

@@ -220,6 +220,12 @@ class TestEval:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_missing_spec_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["eval", "--spec", str(path), "--point", "0"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read spec file: [Errno 2] No such file or directory: '{path}'\n"
+
     def test_arity_mismatch_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, BASE_ONLY)
         assert main(["eval", "--spec", spec, "--point", "1,2,3"]) == EXIT_VALIDATION

@@ -307,6 +307,42 @@ class TestVectorMembers:
         with pytest.raises(DomainError):
             VectorSpanMember(((1.0, (1.0, -2.0)),), 2)
 
+    @pytest.mark.parametrize("arity", [0, 2.0, 2.5, True, "2"])
+    def test_arity_must_be_a_positive_integer(self, arity):
+        with pytest.raises(DomainError):
+            VectorSpanMember((), arity)
+        with pytest.raises(DomainError):
+            make_diagonal_family([1.0], arity)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: VectorSpanMember(((math.nan, (1.0, 1.0)),), 2),
+            lambda: VectorSpanMember(((math.inf, (1.0, 1.0)),), 2),
+            lambda: VectorSpanMember(((1.0, (1.0, math.nan)),), 2),
+            lambda: VectorSpanMember(((1.0, (math.inf, 1.0)),), 2),
+            # finite coefficients whose merged sum overflows
+            lambda: VectorSpanMember(((1e308, (1.0,)), (1e308, (1.0,))), 1),
+            lambda: make_diagonal_family([math.inf], 2),
+            lambda: make_diagonal_family([math.nan], 2),
+            lambda: make_scalar_span([(math.nan, 1.0)]),
+            lambda: make_scalar_span([(-math.inf, 1.0)]),
+            lambda: make_scalar_span([(1.0, math.inf)]),
+            lambda: make_scalar_span([(1.0, math.nan)]),
+        ],
+        ids=[
+            "member-nan-coefficient", "member-inf-coefficient", "member-nan-exponent",
+            "member-inf-exponent", "member-overflowing-sum", "diagonal-inf", "diagonal-nan",
+            "span-nan-coefficient", "span-inf-coefficient", "span-inf-exponent",
+            "span-nan-exponent",
+        ],
+    )
+    def test_non_finite_terms_rejected(self, build):
+        # left unchecked, they would surface only inside the solver, as a
+        # bracket or bisection resource failure
+        with pytest.raises(DomainError):
+            build()
+
     def test_value_at_matches_components(self):
         m = VectorSpanMember(((1.0, (1.0, 2.0)), (0.5, (2.0, 1.0))), 2)
         point = (0.3, -0.8)

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import surjkit.spans
+import surjkit.surjections
 from surjkit import (
     DimLift,
     DomainError,
+    FunctionExpr,
     PeanoLine,
+    ProjectLift,
     ResourceError,
     StructuralError,
     VectorSpanMember,
@@ -137,6 +140,11 @@ class TestProjectLift:
     def test_m_equal_one_is_the_identity_projection(self):
         g = extend_to_line()
         assert project_lift(g, 1) is g
+
+    @pytest.mark.parametrize("arity", [2.5, 2.0, True, "2", None])
+    def test_non_integer_arity_rejected(self, arity):
+        with pytest.raises(DomainError):
+            ProjectLift(PeanoLine(), arity)
 
     def test_bad_arity_rejected(self):
         with pytest.raises(DomainError):
@@ -537,6 +545,25 @@ def test_limit_checked_witnesses_recheck_within_eps():
     assert cases == 2400
 
 
+def tree_nodes(expr):
+    """expr and every node below it."""
+    yield expr
+    if hasattr(expr, "inner"):
+        yield from tree_nodes(expr.inner)
+
+
+def phi_tree(coefficient="1.0", exponent="2.0", arity=2):
+    """The dict of a one-term member after the line-to-plane map, with one field replaced."""
+    return {
+        "kind": "phi_compose",
+        "member": {
+            "arity": arity,
+            "terms": [{"coefficient": coefficient, "exponents": ["1.0", exponent]}],
+        },
+        "inner": {"kind": "peano_line"},
+    }
+
+
 class TestSerialization:
     def test_round_trips(self):
         g = extend_to_line()
@@ -544,9 +571,64 @@ class TestSerialization:
         member = make_diagonal_family([1.5], 3)[0]
         pipe = compose_with_base(member, F)
         lifted = DimLift(lift_dimension(g))
-        for expr in (g, F, pipe, lifted):
+        trees = (g, F, pipe, lifted)
+        for expr in trees:
             data = expr_to_dict(expr)
             assert expr_from_dict(data) == expr
+        kinds = {node.kind for expr in trees for node in tree_nodes(expr)}
+        assert kinds == set(surjkit.surjections._KINDS)
+
+    def test_keys_follow_the_node_fields(self):
+        data = expr_to_dict(project_lift(extend_to_line(), 3))
+        assert list(data) == ["kind", "inner", "arity", "domain_arity", "codomain_arity"]
+        assert data["inner"] == {"kind": "peano_line"}
+
+    def test_every_node_class_is_in_the_kind_table(self):
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from concrete(sub)
+
+        # the package's node classes; test modules define their own
+        nodes = [cls for cls in concrete(FunctionExpr) if cls.__module__.startswith("surjkit.")]
+        kinds = surjkit.surjections._KINDS
+        assert {cls.kind: cls for cls in nodes} == kinds
+        assert len(kinds) == 4
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            phi_tree(coefficient="nan"),
+            phi_tree(coefficient="inf"),
+            phi_tree(coefficient="-inf"),
+            phi_tree(coefficient=True),
+            phi_tree(exponent="nan"),
+            phi_tree(exponent="inf"),
+            phi_tree(exponent="x"),
+            phi_tree(arity=2.9),
+            phi_tree(arity=True),
+            phi_tree(arity="2"),
+            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 2.9},
+            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": True},
+            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": "2"},
+            {"kind": "peano_line", "domain_arity": 1.0},
+            {"kind": "peano_line", "codomain_arity": "2"},
+            [{"kind": "peano_line"}],
+            "peano_line",
+            {"kind": "dim_lift", "inner": 5},
+            {"kind": "dim_lift", "inner": None},
+            {**phi_tree(), "member": []},
+            {**phi_tree(), "member": {"arity": 2, "terms": 5}},
+            {**phi_tree(), "member": {"arity": 2}},
+            {"kind": ["peano_line"]},  # unhashable; test_unknown_kind_rejected has a string
+            {"inner": {"kind": "peano_line"}},
+            {"kind": "dim_lift"},
+        ],
+    )
+    def test_malformed_trees_raise_structural_error(self, data):
+        # never a bare ValueError or TypeError, and never a silent truncation
+        with pytest.raises(StructuralError):
+            expr_from_dict(data)
 
     def test_declared_arities_are_checked(self):
         data = expr_to_dict(extend_to_line())
