@@ -15,20 +15,21 @@ are rejected. It describes exactly one pipeline: a factory constructor
 chain, optionally followed by a span member built from diagonal basis
 coefficients or explicit terms.
 
-Each command imports what it runs: `trace` loads only the curve layer,
-`eval` also loads spans and surjections (and certify only for a spec with a
-`certify` section), and `certify` loads all four layers.
+Each command imports what it runs: `trace` loads only the integer codec
+module `_hilbert` (not even `fractions`: its rows are written from integer
+digits), `eval` also loads the curve, spans and surjections layers (and
+certify only for a spec with a `certify` section), and `certify` loads all
+four layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ._value import Value
-from .curve import DEFAULT_DEPTH_CAP, _trace_blocks
+from ._hilbert import DEFAULT_DEPTH_CAP, _trace_blocks
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -39,6 +40,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # the commands import these where they run them
+    from fractions import Fraction
+
     from .certify import BoxSpec, CoverageCertificate, IndependenceReport
     from .spans import VectorSpanMember
     from .surjections import FunctionExpr
@@ -57,6 +60,8 @@ def format_real(x: float) -> str:
 
 def dyadic_decimal(value: Fraction) -> str:
     """Exact decimal string of a dyadic rational (denominator a power of two)."""
+    from fractions import Fraction
+
     value = Fraction(value)
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
@@ -72,11 +77,18 @@ def dyadic_decimal(value: Fraction) -> str:
 
 def exact_string(x) -> str:
     """Lossless textual form: p/q for rationals, repr for floats."""
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, int):
         return str(x)
+    if hasattr(x, "denominator"):  # a Fraction, told apart without importing fractions
+        return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
+
+
+def _unit_decimals(numerators, e: int) -> list[str]:
+    """dyadic_decimal(n / 2^e) for each 0 <= n < 2^e, from the e digits of
+    n / 2^e = n * 5^e / 10^e < 1: integers only."""
+    scale = 5**e
+    return [("0." + str(n * scale).rjust(e, "0")).rstrip("0").rstrip(".") for n in numerators]
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +315,11 @@ def independence_json(report: IndependenceReport) -> dict:
 def cmd_trace(args) -> int:
     k = args.depth
     blocks = _trace_blocks(k, depth_cap=args.depth_cap)
-    coords = [dyadic_decimal(Fraction(2 * c + 1, 2 << k)) for c in range(1 << k)]
-    scale, places = 25**k, 2 * k
+    coords = _unit_decimals(range(1, 2 << k, 2), k + 1)  # the centres (2c + 1) / 2^(k+1)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,y\n")
         for start, cols, rows in blocks:
-            # dyadic_decimal(i/4^k), from the digits of i/4^k = i*25^k/10^(2k) < 1
-            ts = [
-                ("0." + str(i * scale).rjust(places, "0")).rstrip("0").rstrip(".")
-                for i in range(start, start + len(cols))
-            ]
+            ts = _unit_decimals(range(start, start + len(cols)), 2 * k)  # t = i / 4^k
             fh.write("".join(
                 f"{t},{coords[col]},{coords[row]}\n"
                 for t, col, row in zip(ts, cols, rows)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._value import Value, set_field
-from .curve import _cell, _d2xy, _ratio, _xy2d
+from .curve import _cell, _check_depth, _d2xy, _ratio, _xy2d
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -370,8 +370,7 @@ class EvalResult(Value):
 
 def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_EVAL_DEPTH) -> EvalResult:
     """Depth-k approximant of the expression at a point."""
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
+    _check_depth(depth, 1)
     point = tuple(point)
     if len(point) != expr.domain_arity:
         raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")

@@ -16,7 +16,7 @@ import pytest
 import surjkit.certify
 import surjkit.surjections
 from surjkit import BoxSpec, CoverageCertificate, IndependenceReport, Witness, curve_trace
-from surjkit.curve import _TRACE_BLOCK
+from surjkit._hilbert import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -168,6 +168,19 @@ class TestTrace:
         for i, (row, (x, y)) in enumerate(zip(rows, centers)):
             values = (Fraction(i, 4**k), Fraction(x), Fraction(y))
             assert row == ",".join(dyadic_decimal(v) for v in values)
+
+    def test_trace_memory_stays_within_a_block(self, tmp_path):
+        # the rows are written a 256-cell block at a time; the first call
+        # warms the caches that any run would fill (imports, argparse)
+        argv = ["trace", "--depth", "8", "--out", str(tmp_path / "trace.csv")]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**10
 
     @pytest.mark.parametrize(
         "depth,code,reason",
@@ -601,7 +614,8 @@ def test_command_line_runs_without_numpy(tmp_path):
 def test_cli_import_adds_neither_dataclasses_nor_inspect(tmp_path):
     # every command pays for start-up; dataclasses pulls in inspect, ast,
     # dis and tokenize, and its decorators exec generated methods; trace
-    # runs only the curve layer, so it loads none of the certify stack
+    # runs only the integer codec, so it loads none of the certify stack,
+    # nor fractions and the decimal module that fractions imports
     spec_path = write_spec(tmp_path, TINY_README_SPEC)
     script = (
         "import sys\n"
@@ -621,6 +635,7 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect(tmp_path):
     assert "surjkit.cli" in added
     assert not added & CERTIFY_STACK
     assert not after_trace & CERTIFY_STACK
+    assert not after_trace & {"fractions", "decimal", "surjkit.curve"}
     assert CERTIFY_STACK <= after_certify
     assert not after_certify & {"dataclasses", "inspect"}
 

@@ -15,6 +15,8 @@ from surjkit import (
     PlanePoint,
     ResourceError,
     curve_trace,
+    evaluate_at,
+    extend_to_line,
     hilbert_decode,
     hilbert_encode,
     modulus_bound,
@@ -205,6 +207,22 @@ class TestTrace:
         with pytest.raises(ResourceError):
             curve_trace(13)
         assert len(curve_trace(7, depth_cap=7)) == 4**7
+
+
+# every public call that takes a curve depth, with the depth as its argument
+DEPTH_TAKERS = {
+    "evaluate_at": lambda k: evaluate_at(extend_to_line(), (0.7,), k),
+    "hilbert_encode": lambda k: hilbert_encode(0.3, k),
+    "hilbert_decode": lambda k: hilbert_decode((0.3, 0.6), k),
+    "curve_trace": curve_trace,
+}
+
+
+@pytest.mark.parametrize("depth", [2.5, 2.0, True, False, "3", None, -1])
+@pytest.mark.parametrize("call", DEPTH_TAKERS)
+def test_a_depth_that_is_not_a_natural_number_is_a_domain_error(call, depth):
+    with pytest.raises(DomainError, match="depth must be"):
+        DEPTH_TAKERS[call](depth)
 
 
 class TestModulus:
