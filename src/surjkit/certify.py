@@ -4,8 +4,9 @@ A coverage certificate records, for every grid target of a compact box,
 a preimage witness and its residual under the limit map, evaluated exactly
 at the dyadic witness up to a sinh stage's float rounding; the certificate
 is sound exactly when every residual can be reproduced by forward
-evaluation alone. Independence reports give the numerical rank of
-a finite family's evaluation matrix under pivoted elimination.
+evaluation alone. A span family's dimension is the exact rank of its support
+matrix; independence reports give the numerical rank of any family's
+evaluation matrix under pivoted elimination.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class BoxSpec(Value):
         if grid_points < 2:
             raise DomainError("need at least two grid points per coordinate")
         for lo, hi in bounds:
-            if not -math.inf < lo < hi < math.inf:
-                raise DomainError(f"bound ({lo}, {hi}) must be finite with low < high")
+            if not (lo < hi and (hi - lo) * (grid_points - 1) < math.inf):  # _axes' widest product
+                raise DomainError(f"bound ({lo}, {hi}) needs low < high and a finite grid span")
         set_field(self, "bounds", bounds)
         set_field(self, "grid_points", grid_points)
 
@@ -172,6 +173,32 @@ def certify_surjective_on_box(
         status="certified" if certified else "failed",
         worst_target=None if certified else worst.target,
     )
+
+
+def _support_rank(members: Sequence[VectorSpanMember]) -> tuple[int, int]:
+    """Exact rank of the family's support matrix, and the matrix's row count.
+
+    One column per member, one row per (coordinate, exponent) a term uses;
+    an entry sums that member's coefficients there. Distinct phi_s are
+    independent, as the largest exponent dominates, so a combination is the
+    zero function exactly when its coefficients are in the kernel, and the
+    span's dimension is the rank. Floats are rationals: no cutoff is needed.
+    """
+    from fractions import Fraction  # not at the top: loaded before compiles, it lifts peak RSS
+
+    support: dict[tuple[int, float], list[Fraction]] = {}
+    for i, member in enumerate(members):
+        for lam, rvec in member.terms:
+            for j, s in enumerate(rvec):
+                support.setdefault((j, s), [Fraction(0)] * len(members))[i] += Fraction(lam)
+    rank, rows = 0, list(support.values())
+    while rows:
+        top = rows.pop()
+        j = next((j for j, x in enumerate(top) if x), None)
+        if j is not None:
+            rank += 1
+            rows = [[x - row[j] / top[j] * y for x, y in zip(row, top)] for row in rows]
+    return rank, len(support)
 
 
 class IndependenceReport(Value):

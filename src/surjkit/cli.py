@@ -42,7 +42,7 @@ from .errors import (
 if TYPE_CHECKING:  # the commands import these where they run them
     from fractions import Fraction
 
-    from .certify import BoxSpec, CoverageCertificate, IndependenceReport
+    from .certify import BoxSpec, CoverageCertificate
     from .spans import VectorSpanMember
     from .surjections import FunctionExpr
 
@@ -111,21 +111,14 @@ class SpecFile(Value):
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
 
-    def build_base(self) -> FunctionExpr:
-        from .surjections import extend_to_line, lift_dimension, project_lift
+    def build_pipeline(self) -> FunctionExpr:
+        from .surjections import compose_with_base, extend_to_line, lift_dimension, project_lift
 
         expr: FunctionExpr = extend_to_line()
         for _ in range(self.base_lifts):
             expr = lift_dimension(expr)
-        return project_lift(expr, self.base_project_to)
-
-    def build_pipeline(self) -> FunctionExpr:
-        from .surjections import compose_with_base
-
-        base = self.build_base()
-        if self.member is None:
-            return base
-        return compose_with_base(self.member, base)
+        base = project_lift(expr, self.base_project_to)
+        return base if self.member is None else compose_with_base(self.member, base)
 
 
 def parse_spec_data(data: dict) -> SpecFile:
@@ -236,10 +229,7 @@ def _block(value, level: int) -> str:
 
 
 def _write_report(
-    fh,
-    cert: CoverageCertificate,
-    independence: Optional[IndependenceReport],
-    settings: dict,
+    fh, cert: CoverageCertificate, independence: Optional[dict], settings: dict
 ) -> None:
     """The report, byte for byte as json.dump(..., indent=2, sort_keys=True)
     writes it, streamed one witness at a time so that no whole-report
@@ -290,21 +280,22 @@ def _write_report(
     fh.write(
         ("\n    ]" if cert.witnesses else "]")
         + f',\n    "worst_target": {_block(worst, 2)}\n  }},\n'
-        f'  "independence": '
-        f'{_block(None if independence is None else independence_json(independence), 1)},\n'
+        f'  "independence": {_block(independence, 1)},\n'
         f'  "settings": {_block(settings, 1)}\n}}\n'
     )
 
 
-def independence_json(report: IndependenceReport) -> dict:
+def independence_json(members: Sequence[VectorSpanMember]) -> dict:
+    """The report's independence block: the exact rank of the members' support matrix."""
+    from .certify import _support_rank
+
+    rank, rows = _support_rank(members)
     return {
-        "family": list(report.family),
-        "sample_points": [[format_real(x) for x in p] for p in report.points],
-        "matrix_shape": list(report.matrix_shape),
-        "rank": report.rank,
-        "full_rank": report.full_rank,
-        "tolerance": format_real(report.tolerance),
-        "pivot_ratios": [format_real(x) for x in report.pivot_ratios],
+        "family": [m.describe() for m in members],
+        "method": "exact support matrix",
+        "matrix_shape": [rows, len(members)],
+        "rank": rank,
+        "full_rank": rank == len(members),
     }
 
 
@@ -341,8 +332,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .certify import DEFAULT_TARGET_BUDGET, certify_surjective_on_box, independence_report
-    from .surjections import compose_with_base
+    from .certify import DEFAULT_TARGET_BUDGET, certify_surjective_on_box
 
     spec = parse_spec_file(args.spec)
     if spec.certify_box is None:
@@ -353,33 +343,16 @@ def cmd_certify(args) -> int:
         pipeline, spec.certify_box, spec.certify_epsilon, target_budget=budget
     )
 
-    independence: Optional[IndependenceReport] = None
-    if len(spec.family_members) >= 2:
-        base = spec.build_base()
-        composed = [compose_with_base(m, base) for m in spec.family_members]
-        points = _sample_points(len(composed), base.domain_arity, args.seed)
-        independence = independence_report(composed, points)
-
+    members = spec.family_members
+    independence = independence_json(members) if len(members) >= 2 else None
     with open(args.report, "w", encoding="utf-8") as fh:
         _write_report(fh, certificate, independence, {"budget": budget, "seed": args.seed})
 
-    ok = certificate.certified and (independence is None or independence.full_rank)
+    ok = certificate.certified and (independence is None or independence["full_rank"])
     print(f"status {certificate.status}")
     if independence is not None:
-        print(f"rank {independence.rank}/{len(independence.family)}")
+        print(f"rank {independence['rank']}/{len(members)}")
     return EXIT_OK if ok else EXIT_UNCERTIFIED
-
-
-def _sample_points(size: int, arity: int, seed: Optional[int]) -> list[tuple[float, ...]]:
-    import random
-
-    from .certify import default_sample_points
-
-    count = max(16, 2 * size)
-    if seed is None:
-        return default_sample_points(count, arity)
-    rng = random.Random(seed)
-    return [tuple(rng.uniform(0.25, 8.0) for _ in range(arity)) for _ in range(count)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from surjkit import (
     PhiCompose,
     RefinementError,
     ResourceError,
+    StructuralError,
     VectorSpanMember,
     certify_surjective_on_box,
     combine_members,
@@ -34,8 +36,8 @@ from surjkit import (
     preimage,
     project_lift,
 )
-from surjkit.certify import matrix_rank_pivoted
-from surjkit.cli import _sample_points, _write_report
+from surjkit.certify import _support_rank, matrix_rank_pivoted
+from surjkit.cli import _write_report
 from surjkit.surjections import _sup_error
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
@@ -273,6 +275,21 @@ class TestCoverage:
             with pytest.raises(DomainError):
                 BoxSpec((bad, (0, 1)), 2)
 
+    def test_grid_past_float_range_is_refused(self):
+        for bound, grid in (((0.0, 1e308), 3), ((-1e308, 0.0), 5), ((-1e308, 1e308), 3)):
+            with pytest.raises(DomainError) as info:
+                BoxSpec((bound,), grid)
+            assert str(info.value).startswith(f"bound {bound} ")
+        assert BoxSpec(((-1e307, 1e307),), 3).targets() == [(-1e307,), (0.0,), (1e307,)]
+
+    def test_box_arity_and_object_type_are_checked(self):
+        box = BoxSpec(((-1, 1),) * 3, 2)
+        for f in (extend_to_line(), make_diagonal_family([1.0], 2)[0]):
+            with pytest.raises(StructuralError, match="box arity 3 != codomain arity 2"):
+                certify_surjective_on_box(f, box, 1e-3)
+        with pytest.raises(DomainError, match="ScalarSpan"):
+            certify_surjective_on_box(make_scalar_span([(1.0, 1.0)]), BoxSpec(((-1, 1),), 2), 1e-3)
+
     def test_underflowing_solve_tolerance_is_a_resource_failure(self):
         # eps / 2 rounds to 0.0 at the smallest subnormal eps
         member = make_diagonal_family([1.0], 2)[0]
@@ -457,7 +474,12 @@ class TestRankElimination:
         monkeypatch.setattr(surjkit.certify, "matrix_rank_pivoted", spy)
         base = s23_base()
         family = [compose_with_base(m, base) for m in make_diagonal_family([1.0, 2.0], 3)]
-        report = independence_report(family, _sample_points(len(family), 2, seed))
+        # the 16 points the command line sampled before it ranked exactly
+        points = default_sample_points(16, 2)
+        if seed is not None:
+            rng = random.Random(seed)
+            points = [(rng.uniform(0.25, 8.0), rng.uniform(0.25, 8.0)) for _ in range(16)]
+        report = independence_report(family, points)
         assert report.matrix_shape == (2, 48) and report.full_rank
         (matrix,) = seen
         assert self.assert_same_as_numpy(matrix) == 2
@@ -470,6 +492,56 @@ class TestRankElimination:
     def test_empty_shapes_have_rank_zero(self):
         assert matrix_rank_pivoted([], 1e-8) == (0, [])
         assert matrix_rank_pivoted([[], []], 1e-8) == (0, [])
+
+
+def scalar_member(coefficients):
+    """sum(c_i * Phi[i]) over exponents 1, 2, 3, ... in one coordinate."""
+    return VectorSpanMember([(c, (r,)) for r, c in enumerate(coefficients, 1)], 1)
+
+
+def random_member(rng, arity):
+    """One to three terms with small integer coefficients and exponents 0.5 to 2."""
+    terms = [
+        (rng.choice((-2, -1, 1, 2)), [rng.choice((0.5, 1.0, 1.5, 2.0)) for _ in range(arity)])
+        for _ in range(rng.randint(1, 3))
+    ]
+    return VectorSpanMember(terms, arity)
+
+
+class TestSupportRank:
+    def test_mixed_pairs_cancel_in_one_combination(self):
+        # Phi(1,1) - Phi(1,2) - Phi(2,1) + Phi(2,2) is the zero function
+        family = [VectorSpanMember([(1.0, (i, j))], 2) for i in (1, 2) for j in (1, 2)]
+        assert _support_rank(family) == (3, 4)
+
+    def test_duplicate_member_leaves_the_rank(self):
+        family = make_diagonal_family([1.0, 2.0, 3.0], 2)
+        assert _support_rank(family) == _support_rank(family + [family[1]]) == (3, 6)
+
+    def test_diagonal_one_to_eight_has_full_rank(self):
+        assert _support_rank(make_diagonal_family(range(1, 9), 3)) == (8, 24)
+
+    def test_a_cancellation_only_exact_arithmetic_sees(self):
+        # c's coefficients are the exact sums of a's and b's, yet the float
+        # elimination of the same columns leaves a rounding residue
+        a, b = (0.1, 0.7, 0.6), (0.1, 1.1, 0.4)
+        c = tuple(x + y for x, y in zip(a, b))
+        assert all(Fraction(x) + Fraction(y) == Fraction(z) for x, y, z in zip(a, b, c))
+        assert _support_rank([scalar_member(a), scalar_member(b), scalar_member(c)]) == (2, 3)
+        assert matrix_rank_pivoted([a, b, c], 0.0)[0] == 3
+
+    def test_matches_the_highprec_rank_of_evaluation_matrices(self):
+        rng = random.Random(20261019)
+        deficient = 0
+        for _ in range(40):
+            arity = rng.randint(1, 2)
+            family = [random_member(rng, arity) for _ in range(rng.randint(1, 5))]
+            points = [[rng.uniform(0.25, 3.0) for _ in range(arity)] for _ in range(12)]
+            matrix = [[v for p in points for v in m.value_at(p)] for m in family]
+            rank, _ = _support_rank(family)
+            assert rank == rank_highprec(matrix, 1e-8)
+            deficient += rank < len(family)
+        assert 5 <= deficient <= 35
 
 
 class TestCompositionRank:

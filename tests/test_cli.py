@@ -15,7 +15,7 @@ import pytest
 
 import surjkit.certify
 import surjkit.surjections
-from surjkit import BoxSpec, CoverageCertificate, IndependenceReport, Witness, curve_trace
+from surjkit import BoxSpec, CoverageCertificate, Witness, curve_trace
 from surjkit._hilbert import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
@@ -59,7 +59,8 @@ DEGENERATE_SPEC = {
     "certify": {"box": [["-1", "1"], ["-1", "1"]], "grid": 3, "epsilon": "1e-3"},
 }
 
-# 2 sinh(200 * t) passes float range at the independence sample points
+# 2 sinh(200 * t) passes float range past t = 3.55; the exact rank reads
+# only the coefficients, so the family still ranks 2/2
 OVERFLOW_SPEC = {
     "base": {"construct": "extend_to_line", "lifts": 0},
     "family": {"diagonal_exponents": ["100.0", "200.0"], "coefficients": ["1", "1"]},
@@ -88,6 +89,18 @@ TERMS_SPEC = {
         ]
     },
     "certify": {"box": [["-5", "5"], ["-5", "5"]], "grid": 5, "epsilon": "1e-6"},
+}
+
+
+# eight diagonal members, independent by construction; a float evaluation
+# matrix at 16 sample points ranks them 6
+ONE_TO_EIGHT_SPEC = {
+    "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 1},
+    "family": {
+        "diagonal_exponents": [str(r) for r in range(1, 9)],
+        "coefficients": ["1"] + ["0"] * 7,
+    },
+    "certify": {"box": [["-3", "3"]] * 3, "grid": 3, "epsilon": "1e-3"},
 }
 
 
@@ -316,14 +329,35 @@ class TestCertify:
         code = main(["certify", "--spec", spec, "--report", str(report), "--budget", "10"])
         assert code == EXIT_VALIDATION
 
-    def test_overflowing_family_exits_3_naming_member_and_point(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, OVERFLOW_SPEC)
+    @pytest.mark.parametrize(
+        "data,rank", [(ONE_TO_EIGHT_SPEC, "8/8"), (OVERFLOW_SPEC, "2/2")], ids=["1-8", "overflow"]
+    )
+    def test_exact_rank_is_full_where_sampling_misjudged(self, tmp_path, capsys, data, rank):
+        spec = write_spec(tmp_path, data)
         report = tmp_path / "r.json"
-        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_RESOURCE
-        captured = capsys.readouterr()
-        assert "rank" not in captured.out
-        assert "Phi[100,100]" in captured.err and "at sample point (" in captured.err
-        assert not report.exists()
+        assert main(["certify", "--spec", spec, "--report", str(report)]) == EXIT_OK
+        assert capsys.readouterr().out == f"status certified\nrank {rank}\n"
+        block = json.loads(report.read_text())["independence"]
+        assert block["method"] == "exact support matrix" and block["full_rank"] is True
+
+    def test_one_evaluation_path(self, tmp_path, monkeypatch):
+        # the rank reads coefficients alone: only the limit map is evaluated
+        depths = []
+        peano_eval = surjkit.surjections.PeanoLine._eval
+
+        def spy(self, point, depth):
+            depths.append(depth)
+            return peano_eval(self, point, depth)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampled rank ran")
+
+        monkeypatch.setattr(surjkit.surjections.PeanoLine, "_eval", spy)
+        monkeypatch.setattr(surjkit.certify, "independence_report", refuse)
+        monkeypatch.setattr(surjkit.certify, "matrix_rank_pivoted", refuse)
+        spec = write_spec(tmp_path, README_SPEC)
+        assert main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")]) == EXIT_OK
+        assert depths and set(depths) == {None}
 
     def test_resource_failure_exits_3_naming_the_target(self, tmp_path, capsys):
         cases = [
@@ -461,14 +495,11 @@ class TestReportFormat:
         assert data["worst_target"] == ["-1", "2.5"]
         assert data["witnesses"][1]["preimage_exact"] == [f"-1/{2**70}", "5"]
 
-    def test_empty_witness_list_and_pivot_ratios(self, tmp_path):
-        independence = IndependenceReport(
-            family=("a", "b"), points=(), matrix_shape=(0, 2), rank=0, tolerance=1e-8
-        )
+    def test_empty_witness_list_and_a_hand_built_block(self, tmp_path):
+        independence = {"family": ["a", "b"], "matrix_shape": [0, 2], "rank": 0, "empty": []}
         text = written_report(tmp_path, hand_built_certificate([]), independence)
         assert text == json_dump_form(text)
         assert '"witnesses": [],' in text
-        assert '"pivot_ratios": [],' in text
 
     def test_signed_zero_and_off_grid_targets(self, tmp_path):
         # both box axes hold 0.0 on the grid; -0.0 equals it but prints apart
@@ -524,6 +555,12 @@ class TestSpecValidation:
             (DEGENERATE_SPEC, ("family", "terms"), 5),
             (DEGENERATE_SPEC, ("family", "terms", 0, "exponents"), "12"),
             (DEGENERATE_SPEC, ("family", "terms", 0, "coefficient"), True),
+            (CERTIFY_SPEC, ("base", "construct"), "extend_to_plane"),
+            (CERTIFY_SPEC, ("base", "lifts"), -1),
+            (CERTIFY_SPEC, ("family", "coefficients"), ["1", "1"]),
+            (CERTIFY_SPEC, ("certify", "box"), [["-5", "0", "5"], ["-5", "5"]]),
+            (CERTIFY_SPEC, ("certify", "epsilon"), "0"),
+            (CERTIFY_SPEC, ("certify", "epsilon"), "-1e-3"),
         ],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, spec, path, value):
@@ -536,6 +573,18 @@ class TestSpecValidation:
         code = main(["certify", "--spec", spec_path, "--report", str(tmp_path / "r.json")])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "bound,grid", [(["0", "1e308"], 3), (["-1e308", "0"], 5), (["-1e308", "1e308"], 3)]
+    )
+    def test_grid_past_float_range_exits_2_naming_the_bound(self, tmp_path, capsys, bound, grid):
+        box = {"box": [bound, ["-5", "5"]], "grid": grid, "epsilon": "1e-3"}
+        data = {**CERTIFY_SPEC, "certify": box}
+        spec = write_spec(tmp_path, data)
+        code = main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")])
+        assert code == EXIT_VALIDATION
+        lo, hi = (float(x) for x in bound)
+        assert capsys.readouterr().err.startswith(f"error: bound ({lo}, {hi}) ")
 
     def test_family_needs_terms_or_diagonal(self, tmp_path):
         spec = write_spec(
