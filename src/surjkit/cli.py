@@ -13,7 +13,9 @@ The spec file is JSON with sections `base`, `family`, `certify`, `output`;
 reals are finite decimal strings, counts are JSON integers; unknown keys
 are rejected. It describes exactly one pipeline: a factory constructor
 chain, optionally followed by a span member built from diagonal basis
-coefficients or explicit terms.
+coefficients or explicit terms. The reader builds that tree as it reads,
+so the codomain cap refuses a spec before any member is built, and the
+members and the box take their arity from the tree.
 
 Each command imports what it runs: `trace` loads only the integer codec
 module `_hilbert` (not even `fractions`: its rows are written from integer
@@ -96,35 +98,24 @@ def _unit_decimals(numerators, e: int) -> list[str]:
 
 
 class SpecFile(Value):
-    __slots__ = _fields = (
-        "base_lifts",
-        "base_project_to",
-        "family_members",
-        "member",
-        "certify_box",
-        "certify_epsilon",
-    )
-    base_lifts: int
-    base_project_to: int
+    __slots__ = _fields = ("pipeline", "family_members", "certify_box", "certify_epsilon")
+    pipeline: FunctionExpr
     family_members: tuple[VectorSpanMember, ...]
-    member: Optional[VectorSpanMember]
     certify_box: Optional[BoxSpec]
     certify_epsilon: Optional[float]
 
     def build_pipeline(self) -> FunctionExpr:
-        from .surjections import compose_with_base, extend_to_line, lift_dimension, project_lift
-
-        expr: FunctionExpr = extend_to_line()
-        for _ in range(self.base_lifts):
-            expr = lift_dimension(expr)
-        base = project_lift(expr, self.base_project_to)
-        return base if self.member is None else compose_with_base(self.member, base)
+        """The pipeline tree, as built by the spec reader."""
+        return self.pipeline
 
 
 def parse_spec_data(data: dict) -> SpecFile:
     """The spec's pipeline; a malformed spec raises StructuralError, or
     DomainError for a value its constructor refuses."""
-    from .surjections import _check_keys, _integer, _list, _real, _terms
+    from .surjections import (
+        _check_keys, _integer, _list, _real, _terms,
+        compose_with_base, extend_to_line, lift_dimension, project_lift,
+    )
 
     _check_keys(data, {"base", "family", "certify", "output"}, {"base"}, "spec")
 
@@ -136,10 +127,13 @@ def parse_spec_data(data: dict) -> SpecFile:
     project_to = _integer(base.get("project_to", 1), "base.project_to")
     if lifts < 0:
         raise StructuralError("base.lifts must be non-negative")
-    codomain = 2 + lifts
+    pipeline: FunctionExpr = extend_to_line()
+    for _ in range(lifts):
+        pipeline = lift_dimension(pipeline)
+    pipeline = project_lift(pipeline, project_to)
+    codomain = pipeline.codomain_arity
 
     members: tuple[VectorSpanMember, ...] = ()
-    member: Optional[VectorSpanMember] = None
     if "family" in data:
         from .spans import VectorSpanMember, combine_members, make_diagonal_family
 
@@ -164,6 +158,7 @@ def parse_spec_data(data: dict) -> SpecFile:
             member = combine_members(coefficients, members)
         else:
             raise StructuralError("family needs diagonal_exponents or terms")
+        pipeline = compose_with_base(member, pipeline)
 
     box = None
     epsilon = None
@@ -192,14 +187,7 @@ def parse_spec_data(data: dict) -> SpecFile:
         if output_format != "json":
             raise StructuralError(f"unsupported output format {output_format!r}")
 
-    return SpecFile(
-        base_lifts=lifts,
-        base_project_to=project_to,
-        family_members=members,
-        member=member,
-        certify_box=box,
-        certify_epsilon=epsilon,
-    )
+    return SpecFile(pipeline, members, box, epsilon)
 
 
 def parse_spec_file(path: str) -> SpecFile:
@@ -214,6 +202,8 @@ def parse_spec_file(path: str) -> SpecFile:
         raise StructuralError(
             f"spec parse error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except (UnicodeDecodeError, RecursionError) as err:  # not UTF-8, or nested too deep
+        raise StructuralError(f"spec parse error: {err}") from None
     return parse_spec_data(data)
 
 
@@ -321,8 +311,7 @@ def cmd_trace(args) -> int:
 def cmd_eval(args) -> int:
     from .surjections import DEFAULT_EVAL_DEPTH, _real, evaluate_at
 
-    spec = parse_spec_file(args.spec)
-    pipeline = spec.build_pipeline()
+    pipeline = parse_spec_file(args.spec).pipeline
     point = tuple(_real(v, "--point") for v in args.point.split(","))
     depth = DEFAULT_EVAL_DEPTH if args.depth is None else args.depth
     result = evaluate_at(pipeline, point, depth)
@@ -337,10 +326,9 @@ def cmd_certify(args) -> int:
     spec = parse_spec_file(args.spec)
     if spec.certify_box is None:
         raise StructuralError("spec has no 'certify' section")
-    pipeline = spec.build_pipeline()
     budget = DEFAULT_TARGET_BUDGET if args.budget is None else args.budget
     certificate = certify_surjective_on_box(
-        pipeline, spec.certify_box, spec.certify_epsilon, target_budget=budget
+        spec.pipeline, spec.certify_box, spec.certify_epsilon, target_budget=budget
     )
 
     members = spec.family_members

@@ -344,6 +344,10 @@ class TestIndependence:
         )
         assert report.rank == 1 and report.full_rank
 
+    def test_unknown_object_type_rejected(self):
+        with pytest.raises(DomainError, match="cannot evaluate an object of type object"):
+            independence_report([object()], [(t,) for t in equispaced_points(8)])
+
     def test_duplicate_refutes_independence(self):
         span = make_scalar_span([(1.0, 1.0)])
         report = independence_report([span, span], [(t,) for t in equispaced_points(8)])

@@ -14,8 +14,21 @@ from pathlib import Path
 import pytest
 
 import surjkit.certify
+import surjkit.spans
 import surjkit.surjections
-from surjkit import BoxSpec, CoverageCertificate, Witness, curve_trace
+from surjkit import (
+    BoxSpec,
+    CoverageCertificate,
+    VectorSpanMember,
+    Witness,
+    combine_members,
+    compose_with_base,
+    curve_trace,
+    extend_to_line,
+    lift_dimension,
+    make_diagonal_family,
+    project_lift,
+)
 from surjkit._hilbert import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
@@ -26,6 +39,7 @@ from surjkit.cli import (
     dyadic_decimal,
     format_real,
     main,
+    parse_spec_file,
 )
 from oracles import recursion_centers
 
@@ -251,6 +265,22 @@ class TestEval:
         assert main(["eval", "--spec", str(path), "--point", "0"]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == f"error: cannot read spec file: [Errno 2] No such file or directory: '{path}'\n"
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            (b'{"base": {"construct": "extend_to_line\xff"}}', "'utf-8' codec can't decode"),
+            (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_undecodable_spec_exits_2(self, tmp_path, capsys, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        for command in (["eval", "--point", "0"], ["certify", "--report", str(tmp_path / "r.json")]):
+            assert main([command[0], "--spec", str(path), *command[1:]]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: spec parse error: {reason}") and "Traceback" not in err
 
     def test_arity_mismatch_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, BASE_ONLY)
@@ -621,11 +651,53 @@ class TestSpecValidation:
         spec = write_spec(tmp_path, bad)
         assert main(["certify", "--spec", spec, "--report", "/dev/null"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("lifts", [5, 3_000_000])
+    def test_lifts_past_the_cap_exit_3_before_any_member_is_built(
+        self, tmp_path, capsys, monkeypatch, lifts
+    ):
+        # the box is also too short: the cap is met first
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(surjkit.spans, "make_diagonal_family", refuse)
+        data = {**CERTIFY_SPEC, "base": {"construct": "extend_to_line", "lifts": lifts}}
+        spec = write_spec(tmp_path, data)
+        code = main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err.startswith("resource failure: codomain 7 exceeds cap 6")
+
     def test_unknown_output_format_rejected(self, tmp_path):
         spec = write_spec(
             tmp_path, {"base": {"construct": "extend_to_line"}, "output": {"format": "xml"}}
         )
         assert main(["eval", "--spec", spec, "--point", "0"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "data,build",
+    [
+        (
+            README_SPEC,
+            lambda: compose_with_base(
+                combine_members([1, -1], make_diagonal_family([1.0, 2.0], 3)),
+                project_lift(lift_dimension(extend_to_line()), 2),
+            ),
+        ),
+        (
+            TERMS_SPEC,
+            lambda: compose_with_base(
+                VectorSpanMember(((1.0, (1.0, 2.0)), (-0.5, (2.0, 1.0))), 2),
+                project_lift(extend_to_line(), 2),
+            ),
+        ),
+        (BARE_CURVE_SPEC, extend_to_line),
+    ],
+    ids=["readme", "terms", "bare-curve"],
+)
+def test_the_reader_builds_the_pipeline_tree_once(tmp_path, data, build):
+    spec = parse_spec_file(write_spec(tmp_path, data))
+    assert spec.pipeline == build()
+    assert spec.build_pipeline() is spec.pipeline
 
 
 TINY_README_SPEC = {  # the README spec on a grid of 2 per axis

@@ -108,6 +108,10 @@ class TestScalarSpan:
         with pytest.raises(DomainError):
             make_scalar_span([(1.0, -1.0)])
 
+    def test_zero_span_has_no_leading_term(self):
+        with pytest.raises(NoSolutionError):
+            make_scalar_span([]).leading
+
 
 @given(
     st.lists(
@@ -342,6 +346,25 @@ class TestVectorMembers:
         # bracket or bisection resource failure
         with pytest.raises(DomainError):
             build()
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: make_diagonal_family([1.0], 2)[0].value_at((0.5,)), "point has arity 1"),
+            (lambda: combine_members([1.0], make_diagonal_family([1.0, 2.0], 2)), "one coefficient"),
+            (lambda: combine_members([], []), "empty family"),
+            (
+                lambda: combine_members(
+                    [1.0, 1.0], make_diagonal_family([1.0], 2) + make_diagonal_family([2.0], 3)
+                ),
+                "share arity",
+            ),
+        ],
+        ids=["value-at-arity", "coefficient-count", "empty-family", "mixed-arities"],
+    )
+    def test_mismatched_shapes_rejected(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     def test_value_at_matches_components(self):
         m = VectorSpanMember(((1.0, (1.0, 2.0)), (0.5, (2.0, 1.0))), 2)

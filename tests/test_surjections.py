@@ -202,6 +202,8 @@ class TestEvaluate:
             evaluate_at(extend_to_line(), (0.5, 0.5))
         with pytest.raises(StructuralError):
             evaluate_to_precision(extend_to_line(), (1.3, 2.0), 1e-3)
+        with pytest.raises(StructuralError, match="target arity 1 != codomain arity 2"):
+            preimage(extend_to_line(), (0.5,), 1e-3)
 
     def test_depth_cap(self):
         with pytest.raises(ResourceError):
@@ -264,6 +266,14 @@ class TestPreimage:
         witness = preimage(F, (0.25, -1.5, 2.0), 1e-4)
         assert len(witness) == 3
         assert witness[1] == 0 and witness[2] == 0
+
+    def test_coarse_tolerance_takes_the_depth_one_cell(self):
+        # log2(4) + log2(1 / 100) < 1: the depth is clamped to 1
+        g = extend_to_line()
+        witness = preimage(g, (0.5, 0.5), 100.0)
+        assert witness == (Fraction(3, 4),)
+        value = evaluate_to_precision(g, witness, 1e-3).value
+        assert max(abs(v - 0.5) for v in value) <= 100.0
 
     def test_witnesses_are_exact_rationals(self):
         g = extend_to_line()

@@ -93,10 +93,8 @@ CASES = {
     ),
     SpecFile: (
         {
-            "base_lifts": 1,
-            "base_project_to": 2,
+            "pipeline": PhiCompose(MEMBER, PeanoLine()),
             "family_members": (MEMBER,),
-            "member": MEMBER,
             "certify_box": BOX,
             "certify_epsilon": 1e-3,
         },
