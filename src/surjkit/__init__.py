@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "spans": (
         "Asymptotics", "ScalarSpan", "VectorSpanMember", "classify_asymptotics",
-        "combine_members", "component_reduce", "make_diagonal_family", "make_scalar_span",
-        "phi_eval", "phi_inverse", "scalar_solve",
+        "combine_members", "component_reduce", "detect_degenerate", "make_diagonal_family",
+        "make_scalar_span", "phi_eval", "phi_inverse", "scalar_solve",
     ),
     "surjections": (
         "DimLift", "EvalResult", "FunctionExpr", "PeanoLine", "PhiCompose", "ProjectLift",
@@ -38,8 +38,7 @@ _EXPORTS = {
     "certify": (
         "BoxSpec", "CompositionRankReport", "CoverageCertificate", "IndependenceReport",
         "Witness", "certify_surjective_on_box", "composition_preserves_rank",
-        "default_sample_points", "detect_degenerate", "equispaced_points",
-        "independence_report",
+        "default_sample_points", "equispaced_points", "independence_report",
     ),
 }
 _DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -16,12 +16,10 @@ import math
 from typing import Optional, Sequence, Union
 
 from ._value import Value, set_field
-from .errors import (
-    DegenerateMemberError, DomainError, NoSolutionError, ResourceError, StructuralError
-)
+from .errors import DomainError, ResourceError, StructuralError
 from .spans import ScalarSpan, VectorSpanMember
 from .surjections import (
-    FunctionExpr, _checked_preimage, _solve_coordinate, _sup_error, compose_with_base, evaluate_at
+    FunctionExpr, _checked_preimage, _sinh_stage, _sup_error, compose_with_base, evaluate_at
 )
 
 DEFAULT_TARGET_BUDGET = 100_000
@@ -99,19 +97,6 @@ class CoverageCertificate(Value):
         return self.status == "certified"
 
 
-def detect_degenerate(v: VectorSpanMember) -> Optional[int]:
-    """Index of the first coordinate whose reduced span is zero, if any.
-
-    Nonzero combinations of diagonal-family members never trigger this;
-    mixed exponent vectors can cancel coordinatewise while the member as a
-    whole stays nonzero, and such members are not surjective.
-    """
-    for j, span in enumerate(v.components()):
-        if span.is_zero:
-            return j
-    return None
-
-
 def certify_surjective_on_box(
     f: Certifiable,
     box: BoxSpec,
@@ -120,14 +105,13 @@ def certify_surjective_on_box(
 ) -> CoverageCertificate:
     """Search a preimage for every grid target; certified iff all residuals <= eps.
 
-    Degenerate span members are rejected with DegenerateMemberError, not
-    failed (they are not surjective, so a failed certificate would be
-    misleading): a bare member before any other check, a member after a
-    base by its first inversion, after the box-arity check. Witnesses
-    are stored even on failure so that each can be re-checked by forward
-    evaluation alone. Each witness's residual is the one the single
-    forward check of the preimage search measured. Per-target cap and
-    no-solution errors re-raise prefixed with the target.
+    Degenerate span members, bare or after a base, are rejected with
+    DegenerateMemberError by their first inversion, after the box-arity
+    check, not failed (they are not surjective, so a failed certificate
+    would be misleading). Witnesses are stored even on failure so that
+    each can be re-checked by forward evaluation alone. Each witness's
+    residual is the one the single forward check of the preimage search
+    measured. Per-target cap errors re-raise prefixed with the target.
     """
     if not isinstance(f, (VectorSpanMember, FunctionExpr)):
         raise DomainError(f"cannot certify an object of type {type(f).__name__}")
@@ -138,28 +122,23 @@ def certify_surjective_on_box(
             f"{box.target_count} targets exceed budget {target_budget}; "
             f"raise target_budget to override"
         )
-    spans = f.components() if isinstance(f, VectorSpanMember) else None
-    # up front: scalar_solve would refuse a zero span with NoSolutionError
-    if spans is not None and (bad := detect_degenerate(f)) is not None:
-        raise DegenerateMemberError(bad)
-    codomain = f.arity if spans is not None else f.codomain_arity
+    member = f if isinstance(f, VectorSpanMember) else None
+    codomain = f.arity if member is not None else f.codomain_arity
     if box.arity != codomain:
         raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")
 
     witnesses = []
     for target in box.targets():
         try:
-            if spans is not None:
-                point = tuple(
-                    _solve_coordinate(span, y, eps / 2.0)[0] for span, y in zip(spans, target)
-                )
+            if member is not None:
+                point, _ = _sinh_stage(member, target, eps / 2.0, "member")
                 achieved = _sup_error(
-                    [abs(span.value(x) - y) for span, x, y in zip(spans, point, target)]
+                    [abs(v - y) for v, y in zip(member.value_at(point), target)]
                 )
             else:
                 point, achieved = _checked_preimage(f, target, eps)
-        except (ResourceError, NoSolutionError) as err:
-            raise type(err)(f"target {target}: {err}") from err
+        except ResourceError as err:
+            raise ResourceError(f"target {target}: {err}") from err
         witnesses.append(Witness(target, point, achieved))
 
     # a nan residual ranks worst, as it fails every comparison with eps

@@ -42,8 +42,6 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # the commands import these where they run them
-    from fractions import Fraction
-
     from .certify import BoxSpec, CoverageCertificate
     from .spans import VectorSpanMember
     from .surjections import FunctionExpr
@@ -60,23 +58,6 @@ def format_real(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def dyadic_decimal(value: Fraction) -> str:
-    """Exact decimal string of a dyadic rational (denominator a power of two)."""
-    from fractions import Fraction
-
-    value = Fraction(value)
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-    e = den.bit_length() - 1
-    if den != 1 << e:
-        raise DomainError(f"{value} is not dyadic")
-    digits = str(num * 5**e).rjust(e + 1, "0")
-    if e == 0:
-        return sign + digits
-    out = (digits[:-e] + "." + digits[-e:]).rstrip("0").rstrip(".")
-    return sign + (out or "0")
-
-
 def exact_string(x) -> str:
     """Lossless textual form: p/q for rationals, repr for floats."""
     if isinstance(x, int):
@@ -87,8 +68,8 @@ def exact_string(x) -> str:
 
 
 def _unit_decimals(numerators, e: int) -> list[str]:
-    """dyadic_decimal(n / 2^e) for each 0 <= n < 2^e, from the e digits of
-    n / 2^e = n * 5^e / 10^e < 1: integers only."""
+    """The exact decimal string of n / 2^e for each 0 <= n < 2^e, from the
+    e digits of n / 2^e = n * 5^e / 10^e < 1: integers only."""
     scale = 5**e
     return [("0." + str(n * scale).rjust(e, "0")).rstrip("0").rstrip(".") for n in numerators]
 

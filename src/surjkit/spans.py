@@ -11,11 +11,13 @@ surjections.compose_with_base.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._value import Value, set_field
 from .errors import DomainError, NoSolutionError, ResourceError
 
+# the largest arity a member, or a tree node's domain or codomain, accepts
+ARITY_CAP = 6
 BRACKET_CAP = 2.0**60
 _NEWTON_STEPS = 8
 
@@ -231,15 +233,21 @@ class VectorSpanMember(Value):
 
     Each term couples a coefficient with an exponent vector in (R+)^n;
     coordinate j of the map applies phi with exponent r_i[j] to input j.
+    The per-coordinate spans are reduced once, when the member is built,
+    and kept outside equality, hashing and the repr.
     """
 
-    __slots__ = _fields = ("terms", "arity")
+    _fields = ("terms", "arity")
+    __slots__ = _fields + ("spans",)
     terms: tuple[tuple[float, tuple[float, ...]], ...]
     arity: int
+    spans: tuple[ScalarSpan, ...]
 
     def __init__(self, terms: Iterable[tuple[float, Sequence[float]]], arity: int):
         if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise DomainError(f"arity must be an integer >= 1, got {arity!r}")
+        if arity > ARITY_CAP:
+            raise ResourceError(f"member arity {arity} exceeds cap {ARITY_CAP}")
         merged: dict[tuple[float, ...], float] = {}
         for lam, rvec in terms:
             rvec = tuple(float(r) for r in rvec)
@@ -258,21 +266,22 @@ class VectorSpanMember(Value):
         )
         set_field(self, "terms", normalized)
         set_field(self, "arity", arity)
+        set_field(self, "spans", tuple(component_reduce(self)))
 
     @property
     def is_zero(self) -> bool:
         """True exactly when the member is the zero function: every reduced
         span is zero (distinct exponent vectors can cancel coordinatewise)."""
-        return all(span.is_zero for span in self.components())
+        return all(span.is_zero for span in self.spans)
 
     def components(self) -> list[ScalarSpan]:
-        return component_reduce(self)
+        return list(self.spans)
 
     def value_at(self, u: Sequence[float]) -> tuple[float, ...]:
         """Apply the member to a point of R^n."""
         if len(u) != self.arity:
             raise DomainError(f"point has arity {len(u)}, member expects {self.arity}")
-        return tuple(span.value(float(x)) for span, x in zip(self.components(), u))
+        return tuple(span.value(float(x)) for span, x in zip(self.spans, u))
 
     def describe(self) -> str:
         if not self.terms:
@@ -289,14 +298,23 @@ def component_reduce(v: VectorSpanMember) -> list[ScalarSpan]:
     ]
 
 
+def detect_degenerate(v: VectorSpanMember) -> Optional[int]:
+    """Index of the first coordinate whose reduced span is zero, if any.
+
+    Nonzero combinations of diagonal-family members never trigger this;
+    mixed exponent vectors can cancel coordinatewise while the member as a
+    whole stays nonzero, and such members are not surjective.
+    """
+    return next((j for j, span in enumerate(v.spans) if span.is_zero), None)
+
+
 def make_diagonal_family(exponents: Sequence[float], n: int) -> list[VectorSpanMember]:
     """Basis members with constant exponent vector (r, ..., r), one per exponent.
 
     Every coordinate of a nonzero combination reduces to the same nonzero
     scalar span, so the combination is surjective coordinate by coordinate.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError(f"arity must be an integer >= 1, got {n!r}")
+    VectorSpanMember((), n)  # the member's arity checks, before (r,) * n is built
     values = [float(r) for r in exponents]
     if len(set(values)) != len(values):
         raise DomainError("diagonal family exponents must be pairwise distinct")

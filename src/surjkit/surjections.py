@@ -10,6 +10,7 @@ lift_dimension   turns an S_{1,n} tree into S_{1,n+1} by expanding the last
                  output coordinate through a fresh line-to-plane map
 project_lift     turns an S_{1,n} tree into S_{m,n} by reading only the
                  first input coordinate
+                 (both refuse an arity past ARITY_CAP, as their nodes do)
 compose_with_base  applies a vector span member after a base surjection;
                    this node is the one form of "member after base"
 
@@ -36,7 +37,7 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .spans import ScalarSpan, VectorSpanMember, scalar_solve
+from .spans import ARITY_CAP, ScalarSpan, VectorSpanMember, detect_degenerate, scalar_solve
 
 EVAL_DEPTH_CAP = 4096
 DEFAULT_EVAL_DEPTH = 12
@@ -166,6 +167,8 @@ class DimLift(FunctionExpr):
             raise StructuralError("lift requires a domain arity of 1")
         if inner.codomain_arity < 2:
             raise StructuralError("lift requires a codomain arity of at least 2")
+        if inner.codomain_arity + 1 > ARITY_CAP:
+            raise ResourceError(f"codomain {inner.codomain_arity + 1} exceeds cap {ARITY_CAP}")
         set_field(self, "inner", inner)
 
     @property
@@ -211,6 +214,8 @@ class ProjectLift(FunctionExpr):
             raise StructuralError("projection lift requires an inner domain arity of 1")
         if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
             raise DomainError(f"target domain arity must be an integer >= 1, got {arity!r}")
+        if arity > ARITY_CAP:
+            raise ResourceError(f"domain arity {arity} exceeds cap {ARITY_CAP}")
         set_field(self, "inner", inner)
         set_field(self, "arity", arity)
 
@@ -234,17 +239,11 @@ class ProjectLift(FunctionExpr):
 
 
 class PhiCompose(FunctionExpr):
-    """A vector span member applied after a base surjection.
+    """A vector span member applied after a base surjection."""
 
-    The member's per-coordinate spans are reduced once, when the node is
-    built, and kept outside equality, hashing and the repr.
-    """
-
-    _fields = ("member", "inner")
-    __slots__ = _fields + ("spans",)
+    __slots__ = _fields = ("member", "inner")
     member: VectorSpanMember
     inner: FunctionExpr
-    spans: tuple[ScalarSpan, ...]
     kind = "phi_compose"
 
     def __init__(self, member: VectorSpanMember, inner: FunctionExpr):
@@ -254,7 +253,6 @@ class PhiCompose(FunctionExpr):
             )
         set_field(self, "member", member)
         set_field(self, "inner", inner)
-        set_field(self, "spans", tuple(member.components()))
 
     @property
     def domain_arity(self) -> int:
@@ -266,7 +264,7 @@ class PhiCompose(FunctionExpr):
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
-        spans = self.spans
+        spans = self.member.spans
         inputs = [p / q for p, q in values]
         out = tuple([(span.value(x), 1) for span, x in zip(spans, inputs)])
         if est == 0.0:
@@ -277,23 +275,10 @@ class PhiCompose(FunctionExpr):
         return out, amplified
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        spans = self.spans
-        if not all([span.terms for span in spans]):
-            raise DegenerateMemberError([span.is_zero for span in spans].index(True))
-        half_tol = 2.0 ** -(bits + 1)
-        solved, bounds = [], []
-        for j, (span, y) in enumerate(zip(spans, target)):
-            try:
-                u, bound = _solve_coordinate(span, float(y), half_tol)
-            except ResourceError as err:
-                raise _in_node(err, f"the sinh stage of phi_compose coordinate {j + 1}") from err
-            solved.append(u)
-            bounds.append(bound)
-        # the inner map within half_tol / lipschitz (and never coarser than 1)
+        solved, bounds = _sinh_stage(self.member, target, 2.0 ** -(bits + 1), "phi_compose")
+        # the inner map within half the tolerance / lipschitz (and never coarser than 1)
         try:
-            return self.inner._preimage(
-                tuple(solved), max(0.0, bits + 1 + math.log2(max(bounds)))
-            )
+            return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(max(bounds))))
         except ResourceError as err:
             raise _in_node(err, "the inner map of phi_compose") from err
 
@@ -326,6 +311,25 @@ def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, fl
     return u, span.derivative_bound(u - 1.0, u + 1.0)
 
 
+def _sinh_stage(
+    member: VectorSpanMember, target: tuple, tol: float, node: str
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The roots of member = target within tol, coordinate by coordinate, and
+    each span's slope bound near its root; a zero coordinate span raises
+    DegenerateMemberError, and a failed solve names the coordinate of node."""
+    bad = detect_degenerate(member)
+    if bad is not None:
+        raise DegenerateMemberError(bad)
+    solved = []
+    for j, (span, y) in enumerate(zip(member.spans, target)):
+        try:
+            solved.append(_solve_coordinate(span, float(y), tol))
+        except ResourceError as err:
+            raise _in_node(err, f"the sinh stage of {node} coordinate {j + 1}") from err
+    roots, bounds = zip(*solved)
+    return roots, bounds
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invert_pair(pair: tuple, bits: float) -> tuple[tuple[Fraction], int]:
     """A lift's trailing line-to-plane inversion: ((s,), its curve depth)."""
@@ -337,15 +341,9 @@ def extend_to_line() -> PeanoLine:
     return PeanoLine()
 
 
-def lift_dimension(f: FunctionExpr, max_codomain: int = 6) -> DimLift:
+def lift_dimension(f: FunctionExpr) -> DimLift:
     """S_{1,n} -> S_{1,n+1}; the first output coordinate is preserved exactly."""
-    lifted = DimLift(f)
-    if lifted.codomain_arity > max_codomain:
-        raise ResourceError(
-            f"codomain {lifted.codomain_arity} exceeds cap {max_codomain}; "
-            f"raise max_codomain to override"
-        )
-    return lifted
+    return DimLift(f)
 
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
@@ -550,6 +548,10 @@ def expr_to_dict(expr: FunctionExpr) -> dict:
 
 def expr_from_dict(data: dict) -> FunctionExpr:
     """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
-    unknown or missing keys, non-finite reals and non-integer arities raise
-    StructuralError."""
-    return _read_node(data, "tree")
+    unknown or missing keys, non-finite reals, non-integer arities and
+    nesting past the interpreter's recursion limit raise StructuralError,
+    and an arity past ARITY_CAP raises ResourceError."""
+    try:
+        return _read_node(data, "tree")
+    except RecursionError:
+        raise StructuralError("tree nested too deep to read") from None

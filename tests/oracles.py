@@ -4,11 +4,14 @@ Everything here deliberately avoids the package's own algorithms:
 the curve oracle builds traversals by quadrant recursion on explicit
 point lists (the package walks base-4 digits), the root oracle is plain
 fixed-interval bisection (the package expands brackets from asymptotics),
-and the rank oracle eliminates in 50-digit arithmetic (the package uses
-float64).
+the rank oracle eliminates in 50-digit arithmetic (the package uses
+float64), and the decimal oracle formats one Fraction at a time (the
+package formats whole runs of a grid from integer digits).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -42,6 +45,21 @@ def recursion_trace(k: int) -> np.ndarray:
 def recursion_centers(k: int) -> np.ndarray:
     """Cell centers of the unit square in traversal order, as floats."""
     return (2.0 * recursion_trace(k) + 1.0) / 2.0 ** (k + 1)
+
+
+def dyadic_decimal(value: Fraction) -> str:
+    """Exact decimal string of a dyadic rational (denominator a power of two)."""
+    value = Fraction(value)
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    e = den.bit_length() - 1
+    if den != 1 << e:
+        raise ValueError(f"{value} is not dyadic")
+    digits = str(num * 5**e).rjust(e + 1, "0")
+    if e == 0:
+        return sign + digits
+    out = (digits[:-e] + "." + digits[-e:]).rstrip("0").rstrip(".")
+    return sign + (out or "0")
 
 
 # ---------------------------------------------------------------------------

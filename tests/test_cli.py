@@ -36,12 +36,11 @@ from surjkit.cli import (
     EXIT_RESOURCE,
     EXIT_VALIDATION,
     _write_report,
-    dyadic_decimal,
     format_real,
     main,
     parse_spec_file,
 )
-from oracles import recursion_centers
+from oracles import dyadic_decimal, recursion_centers
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -542,6 +541,21 @@ class TestReportFormat:
             ["-0", "0"], ["0", "-0"], [format_real(0.3), "2.5"], ["-1", format_real(1 / 3)]
         ]
 
+    def test_bare_member_preimages_are_exact_float_reprs(self, tmp_path):
+        # a bare member's witness holds the float root of each coordinate's span
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 2))
+        box = BoxSpec(((-3.0, 3.0), (-3.0, 3.0)), 5)
+        cert = surjkit.certify.certify_surjective_on_box(member, box, 1e-6)
+        assert cert.certified
+        text = written_report(tmp_path, cert)
+        assert text == json_dump_form(text)
+        written = json.loads(text)["certificate"]["witnesses"]
+        assert len(written) == len(cert.witnesses) == 25
+        for w, data in zip(cert.witnesses, written):
+            assert all(type(x) is float for x in w.preimage)
+            assert data["preimage_exact"] == [repr(x) for x in w.preimage]
+            assert [float(s) for s in data["preimage_exact"]] == list(w.preimage)
+
     def test_report_memory_does_not_grow_with_the_grid(self, tmp_path):
         rng = random.Random(11)
         witnesses = [
@@ -665,6 +679,20 @@ class TestSpecValidation:
         code = main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")])
         assert code == EXIT_RESOURCE
         assert capsys.readouterr().err.startswith("resource failure: codomain 7 exceeds cap 6")
+
+    def test_project_to_past_the_cap_exits_3_at_read_time(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family member was built")
+
+        monkeypatch.setattr(surjkit.spans, "make_diagonal_family", refuse)
+        data = {**CERTIFY_SPEC, "base": {"construct": "extend_to_line", "project_to": 2**64}}
+        spec = write_spec(tmp_path, data)
+        code = main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err == (
+            f"resource failure: domain arity {2**64} exceeds cap 6\n"
+        )
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_output_format_rejected(self, tmp_path):
         spec = write_spec(

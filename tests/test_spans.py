@@ -10,6 +10,7 @@ import surjkit.spans
 from surjkit import (
     DomainError,
     NoSolutionError,
+    ResourceError,
     classify_asymptotics,
     combine_members,
     component_reduce,
@@ -318,6 +319,15 @@ class TestVectorMembers:
         with pytest.raises(DomainError):
             make_diagonal_family([1.0], arity)
 
+    @pytest.mark.parametrize("arity", [7, 10**9])
+    def test_arity_past_the_cap_is_refused_before_any_span_is_built(self, arity):
+        # a member reduces one span per coordinate when it is built, so the
+        # cap must hold first: 10**9 spans would not fit in memory
+        with pytest.raises(ResourceError, match=f"^member arity {arity} exceeds cap 6$"):
+            VectorSpanMember((), arity)
+        with pytest.raises(ResourceError, match=f"^member arity {arity} exceeds cap 6$"):
+            make_diagonal_family([1.0], arity)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -327,6 +337,8 @@ class TestVectorMembers:
             lambda: VectorSpanMember(((1.0, (math.inf, 1.0)),), 2),
             # finite coefficients whose merged sum overflows
             lambda: VectorSpanMember(((1e308, (1.0,)), (1e308, (1.0,))), 1),
+            # distinct exponent vectors whose first coordinates merge and overflow
+            lambda: VectorSpanMember(((1e308, (1.0, 2.0)), (1e308, (1.0, 3.0))), 2),
             lambda: make_diagonal_family([math.inf], 2),
             lambda: make_diagonal_family([math.nan], 2),
             lambda: make_scalar_span([(math.nan, 1.0)]),
@@ -336,7 +348,8 @@ class TestVectorMembers:
         ],
         ids=[
             "member-nan-coefficient", "member-inf-coefficient", "member-nan-exponent",
-            "member-inf-exponent", "member-overflowing-sum", "diagonal-inf", "diagonal-nan",
+            "member-inf-exponent", "member-overflowing-sum", "member-overflowing-coordinate",
+            "diagonal-inf", "diagonal-nan",
             "span-nan-coefficient", "span-inf-coefficient", "span-inf-exponent",
             "span-nan-exponent",
         ],

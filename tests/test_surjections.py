@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -106,16 +107,19 @@ class TestLiftDimension:
         expr = extend_to_line()
         for _ in range(4):
             expr = lift_dimension(expr)
-        with pytest.raises(ResourceError):
-            lift_dimension(expr)
-        assert lift_dimension(expr, max_codomain=7).codomain_arity == 7
+        # the node owns the cap: the factory and the class refuse alike
+        for build in (lift_dimension, DimLift):
+            with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
+                build(expr)
 
     def test_rejects_wrong_arity(self):
         g = extend_to_line()
         with pytest.raises(StructuralError):
             lift_dimension(project_lift(g, 3))
+        # the domain arity is checked before the cap
+        six = lift_dimension(lift_dimension(lift_dimension(lift_dimension(g))))
         with pytest.raises(StructuralError):
-            lift_dimension(project_lift(g, 2), max_codomain=2)
+            lift_dimension(project_lift(six, 2))
 
 
 class TestProjectLift:
@@ -639,6 +643,35 @@ class TestSerialization:
         # never a bare ValueError or TypeError, and never a silent truncation
         with pytest.raises(StructuralError):
             expr_from_dict(data)
+
+    def test_the_arity_cap_holds_for_tree_dicts(self):
+        data = expr_to_dict(extend_to_line())
+        for _ in range(8):
+            data = {"kind": "dim_lift", "inner": data}
+        with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
+            expr_from_dict(data)
+        data = {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 7}
+        with pytest.raises(ResourceError, match="^domain arity 7 exceeds cap 6$"):
+            expr_from_dict(data)
+        # the member's own cap holds before it reduces one span per coordinate
+        data = {
+            "kind": "phi_compose",
+            "member": {"arity": 10**9, "terms": []},
+            "inner": {"kind": "peano_line"},
+        }
+        with pytest.raises(ResourceError, match="^member arity 1000000000 exceeds cap 6$"):
+            expr_from_dict(data)
+
+    def test_nesting_past_the_recursion_limit_is_a_structural_error(self):
+        # json.loads accepts this depth; reading it must not raise RecursionError
+        for kind in ("dim_lift", "project_lift"):
+            data = {"kind": "peano_line"}
+            for _ in range(sys.getrecursionlimit()):
+                data = {"kind": kind, "inner": data}
+                if kind == "project_lift":
+                    data["arity"] = 1
+            with pytest.raises(StructuralError, match="^tree nested too deep to read$"):
+                expr_from_dict(data)
 
     def test_declared_arities_are_checked(self):
         data = expr_to_dict(extend_to_line())

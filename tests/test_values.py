@@ -26,8 +26,7 @@ from surjkit import (
     StructuralError,
     VectorSpanMember,
     Witness,
-    lift_dimension,
-    project_lift,
+    component_reduce,
 )
 from surjkit.cli import SpecFile
 
@@ -155,7 +154,7 @@ def test_instances_of_different_classes_never_compare_equal():
 
 
 def test_fields_outside_comparison_are_ignored():
-    a, b = make(PhiCompose), make(PhiCompose)
+    a, b = make(VectorSpanMember), make(VectorSpanMember)
     object.__setattr__(b, "spans", ())
     assert a == b and hash(a) == hash(b)
     assert "spans" not in repr(a)
@@ -213,10 +212,18 @@ class TestValidation:
             CellAddress(1, 2, 0)
 
     def test_dim_lift_checks_arity_before_the_codomain_cap(self):
+        six = DimLift(DimLift(DimLift(DimLift(PeanoLine()))))
         with pytest.raises(StructuralError):
-            lift_dimension(project_lift(PeanoLine(), 2), max_codomain=1)
-        with pytest.raises(ResourceError):
-            lift_dimension(PeanoLine(), max_codomain=2)
+            DimLift(ProjectLift(six, 2))
+        with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
+            DimLift(six)
+        # a projection lift checks its inner map, then the arity's type, then the cap
+        with pytest.raises(StructuralError):
+            ProjectLift(ProjectLift(PeanoLine(), 2), 7)
+        with pytest.raises(DomainError):
+            ProjectLift(PeanoLine(), 7.0)
+        with pytest.raises(ResourceError, match="^domain arity 7 exceeds cap 6$"):
+            ProjectLift(PeanoLine(), 7)
 
     def test_project_lift_and_phi_compose_check_arities(self):
         with pytest.raises(DomainError):
@@ -232,7 +239,9 @@ class TestValidation:
             VectorSpanMember(((1.0, (1.0,)),), 2)
 
     def test_phi_compose_reduces_its_spans(self):
-        assert make(PhiCompose).spans == tuple(MEMBER.components())
+        # the member reduces them once, when it is built; the node keeps no copy
+        assert make(PhiCompose).member.spans == tuple(component_reduce(MEMBER))
+        assert PhiCompose.__slots__ == PhiCompose._fields
 
 
 @pytest.mark.parametrize("cls", CLASSES)
