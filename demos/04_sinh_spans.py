@@ -5,8 +5,8 @@ from surjkit import (
     VectorSpanMember,
     classify_asymptotics,
     component_reduce,
+    default_sample_points,
     detect_degenerate,
-    equispaced_points,
     independence_report,
     make_diagonal_family,
     make_scalar_span,
@@ -47,7 +47,6 @@ print("  detect_degenerate ->", detect_degenerate(trap), "(0-based coordinate)")
 # Finite independence evidence: evaluate the family at sample points and
 # rank the matrix. Ten distinct exponents give rank ten.
 ten = make_diagonal_family([0.5 * i for i in range(1, 11)], 1)
-points = [(t,) for t in equispaced_points(32)]
-report = independence_report(ten, points)
+report = independence_report(ten, default_sample_points(32))
 print(f"\nrank of 10 members at 32 points: {report.rank} (full: {report.full_rank})")
 print("pivot decay:", " ".join(f"{r:.1e}" for r in report.pivot_ratios))

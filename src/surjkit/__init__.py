@@ -38,7 +38,7 @@ _EXPORTS = {
     "certify": (
         "BoxSpec", "CompositionRankReport", "CoverageCertificate", "IndependenceReport",
         "Witness", "certify_surjective_on_box", "composition_preserves_rank",
-        "default_sample_points", "equispaced_points", "independence_report",
+        "default_sample_points", "independence_report",
     ),
 }
 _DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}

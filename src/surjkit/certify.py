@@ -90,7 +90,6 @@ class CoverageCertificate(Value):
     witnesses: tuple[Witness, ...]
     status: str  # "certified" | "failed"
     worst_target: Optional[tuple[float, ...]]
-    _defaults = {"worst_target": None}
 
     @property
     def certified(self) -> bool:
@@ -181,10 +180,7 @@ def _support_rank(members: Sequence[VectorSpanMember]) -> tuple[int, int]:
 
 
 class IndependenceReport(Value):
-    """Numerical rank evidence for a finite family at stored sample points.
-
-    The pivot ratios are diagnostics, kept outside equality and hashing.
-    """
+    """Numerical rank evidence for a finite family at stored sample points."""
 
     __slots__ = _fields = ("family", "points", "matrix_shape", "rank", "tolerance", "pivot_ratios")
     family: tuple[str, ...]
@@ -193,10 +189,6 @@ class IndependenceReport(Value):
     rank: int
     tolerance: float
     pivot_ratios: tuple[float, ...]
-    _defaults = {"pivot_ratios": ()}
-
-    def _key(self) -> tuple:
-        return self.family, self.points, self.matrix_shape, self.rank, self.tolerance
 
     @property
     def full_rank(self) -> bool:
@@ -327,21 +319,14 @@ def composition_preserves_rank(
     return CompositionRankReport(composed=composed, direct=direct)
 
 
-def equispaced_points(count: int, lo: float = 0.25, hi: float = 8.0) -> list[float]:
-    """Positive scalar sample grid for independence checks.
+def default_sample_points(count: int, arity: int = 1) -> list[tuple[float, ...]]:
+    """Staggered positive sample points in R^arity for independence checks.
 
     The basis functions are odd, so symmetric grids pair up as t, -t and
     halve the usable column count; an all-positive grid avoids that.
     """
     if count < 2:
         raise DomainError("need at least two points")
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
-def default_sample_points(count: int, arity: int = 1) -> list[tuple[float, ...]]:
-    """Staggered positive sample points in R^arity."""
-    base = equispaced_points(count)
-    if arity == 1:
-        return [(t,) for t in base]
+    base = [0.25 + 7.75 * i / (count - 1) for i in range(count)]
     step = (base[1] - base[0]) / (arity + 1)
-    return [tuple(t + j * step for j in range(arity)) for t in base]
+    return [tuple([t + j * step for j in range(arity)]) for t in base]

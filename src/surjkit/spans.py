@@ -274,9 +274,6 @@ class VectorSpanMember(Value):
         span is zero (distinct exponent vectors can cancel coordinatewise)."""
         return all(span.is_zero for span in self.spans)
 
-    def components(self) -> list[ScalarSpan]:
-        return list(self.spans)
-
     def value_at(self, u: Sequence[float]) -> tuple[float, ...]:
         """Apply the member to a point of R^n."""
         if len(u) != self.arity:

@@ -55,8 +55,15 @@ class FunctionExpr(Value):
 
     __slots__ = ()
     kind: str
-    domain_arity: int
-    codomain_arity: int
+
+    # a node has its inner map's arities unless it changes one
+    @property
+    def domain_arity(self) -> int:
+        return self.inner.domain_arity
+
+    @property
+    def codomain_arity(self) -> int:
+        return self.inner.codomain_arity
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         """Depth-k values and error estimate; point and values are exact
@@ -125,12 +132,7 @@ class PeanoLine(FunctionExpr):
     def _preimage_with_depth(self, target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
         (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
         # the smallest box B_n holding the target, n >= 1
-        n = -(-abs(pa) // qa)
-        m = -(-abs(pb) // qb)
-        if m > n:
-            n = m
-        if n < 1:
-            n = 1
+        n = max(-(-abs(pa) // qa), -(-abs(pb) // qb), 1)
         # half a cell of B_n at depth k stays within 2**-bits / 2
         depth = math.log2(4 * n) + bits
         if not depth <= EVAL_DEPTH_CAP:  # an infinite or nan depth fails here too
@@ -160,13 +162,10 @@ class DimLift(FunctionExpr):
     __slots__ = _fields = ("inner",)
     inner: FunctionExpr
     kind = "dim_lift"
-    domain_arity = 1
 
     def __init__(self, inner: FunctionExpr):
         if inner.domain_arity != 1:
             raise StructuralError("lift requires a domain arity of 1")
-        if inner.codomain_arity < 2:
-            raise StructuralError("lift requires a codomain arity of at least 2")
         if inner.codomain_arity + 1 > ARITY_CAP:
             raise ResourceError(f"codomain {inner.codomain_arity + 1} exceeds cap {ARITY_CAP}")
         set_field(self, "inner", inner)
@@ -223,10 +222,6 @@ class ProjectLift(FunctionExpr):
     def domain_arity(self) -> int:
         return self.arity
 
-    @property
-    def codomain_arity(self) -> int:
-        return self.inner.codomain_arity
-
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         return self.inner._eval((point[0],), depth)
 
@@ -253,14 +248,6 @@ class PhiCompose(FunctionExpr):
             )
         set_field(self, "member", member)
         set_field(self, "inner", inner)
-
-    @property
-    def domain_arity(self) -> int:
-        return self.inner.domain_arity
-
-    @property
-    def codomain_arity(self) -> int:
-        return self.member.arity
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)

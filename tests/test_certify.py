@@ -26,7 +26,6 @@ from surjkit import (
     composition_preserves_rank,
     default_sample_points,
     detect_degenerate,
-    equispaced_points,
     evaluate_to_precision,
     extend_to_line,
     independence_report,
@@ -92,7 +91,7 @@ class TestDetectDegenerate:
         ]
         for m in members:
             fired = detect_degenerate(m) is not None
-            all_nonzero = all(not s.is_zero for s in m.components())
+            all_nonzero = all(not s.is_zero for s in m.spans)
             assert fired != all_nonzero
 
 
@@ -103,7 +102,7 @@ class TestCoverage:
         cert = certify_surjective_on_box(member, box, 1e-6)
         assert cert.certified
         assert len(cert.witnesses) == 13
-        span = member.components()[0]
+        span = member.spans[0]
         for w in cert.witnesses:
             t_oracle = bisect_solve(span.value, w.target[0], -10.0, 10.0, 1e-9)
             assert abs(w.preimage[0] - t_oracle) <= 1e-6
@@ -340,23 +339,23 @@ class TestNanResidual:
 class TestIndependence:
     def test_single_function_has_rank_one(self):
         report = independence_report(
-            [make_scalar_span([(1.0, 1.0)])], [(t,) for t in equispaced_points(8)]
+            [make_scalar_span([(1.0, 1.0)])], default_sample_points(8)
         )
         assert report.rank == 1 and report.full_rank
 
     def test_unknown_object_type_rejected(self):
         with pytest.raises(DomainError, match="cannot evaluate an object of type object"):
-            independence_report([object()], [(t,) for t in equispaced_points(8)])
+            independence_report([object()], default_sample_points(8))
 
     def test_duplicate_refutes_independence(self):
         span = make_scalar_span([(1.0, 1.0)])
-        report = independence_report([span, span], [(t,) for t in equispaced_points(8)])
+        report = independence_report([span, span], default_sample_points(8))
         assert report.rank == 1
         assert not report.full_rank
 
     def test_ten_members_reach_full_rank_and_match_highprec_oracle(self):
         exponents = [0.5 * i for i in range(1, 11)]
-        points = [(t,) for t in equispaced_points(32)]
+        points = default_sample_points(32)
         family = [make_scalar_span([(1.0, r)]) for r in exponents]
         report = independence_report(family, points, tol=1e-8)
         assert report.rank == 10
@@ -365,7 +364,7 @@ class TestIndependence:
         assert rank_highprec(matrix, 1e-8) == 10
 
     def test_rank_monotone_under_family_growth(self):
-        points = [(t,) for t in equispaced_points(24)]
+        points = default_sample_points(24)
         family = [make_scalar_span([(1.0, r)]) for r in (0.5, 1.5, 2.5, 3.5, 4.5)]
         ranks = []
         for size in range(1, len(family) + 1):
@@ -575,7 +574,7 @@ class TestCompositionRank:
 
 class TestSamplePoints:
     def test_equispaced_points_are_positive_and_increasing(self):
-        pts = equispaced_points(16)
+        pts = [t for (t,) in default_sample_points(16)]
         assert all(t > 0 for t in pts)
         assert pts == sorted(pts)
 
@@ -586,4 +585,4 @@ class TestSamplePoints:
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DomainError):
-            equispaced_points(1)
+            default_sample_points(1)

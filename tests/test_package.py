@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "StructuralError", "VectorSpanMember", "Witness", "certify_surjective_on_box",
     "classify_asymptotics", "combine_members", "component_reduce", "compose_with_base",
     "composition_preserves_rank", "curve_trace", "default_sample_points",
-    "detect_degenerate", "equispaced_points", "evaluate_at", "evaluate_to_precision",
+    "detect_degenerate", "evaluate_at", "evaluate_to_precision",
     "expr_from_dict", "expr_to_dict", "extend_to_line", "hilbert_decode", "hilbert_encode",
     "independence_report", "lift_dimension", "make_diagonal_family", "make_scalar_span",
     "modulus_bound", "phi_eval", "phi_inverse", "preimage", "project_lift", "scalar_solve",

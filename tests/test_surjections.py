@@ -16,6 +16,7 @@ from surjkit import (
     DomainError,
     FunctionExpr,
     PeanoLine,
+    PhiCompose,
     ProjectLift,
     ResourceError,
     StructuralError,
@@ -159,6 +160,43 @@ class TestProjectLift:
         for target_m in (0, 1, 3):
             with pytest.raises(StructuralError):
                 project_lift(inner, target_m)
+
+
+def diagonal_member(n):
+    return VectorSpanMember(((1.0, (1.0,) * n),), n)
+
+
+LINE = PeanoLine()
+
+
+# (tree, domain arity, codomain arity) by the node rules: the line-to-plane map
+# is R -> R^2, a lift adds one codomain coordinate, a projection to m sets the
+# domain to R^m, and a member after a base keeps both of the base's arities
+@pytest.mark.parametrize(
+    "expr,domain,codomain",
+    [
+        (LINE, 1, 2),
+        (DimLift(LINE), 1, 2 + 1),
+        (DimLift(DimLift(DimLift(LINE))), 1, 2 + 3),
+        (ProjectLift(LINE, 3), 3, 2),
+        (ProjectLift(DimLift(DimLift(LINE)), 5), 5, 2 + 2),
+        (PhiCompose(diagonal_member(2), LINE), 1, 2),
+        (PhiCompose(diagonal_member(2), ProjectLift(LINE, 4)), 4, 2),
+        (PhiCompose(diagonal_member(3), ProjectLift(DimLift(LINE), 6)), 6, 2 + 1),
+        # shapes that only direct calls build, never a spec file
+        (DimLift(PhiCompose(diagonal_member(2), LINE)), 1, 2 + 1),
+        (DimLift(ProjectLift(LINE, 1)), 1, 2 + 1),
+        (ProjectLift(DimLift(PhiCompose(diagonal_member(2), LINE)), 2), 2, 2 + 1),
+        (
+            PhiCompose(diagonal_member(4), DimLift(PhiCompose(diagonal_member(3), DimLift(LINE)))),
+            1,
+            2 + 2,
+        ),
+    ],
+    ids=lambda v: v.describe() if isinstance(v, FunctionExpr) else None,
+)
+def test_node_arities(expr, domain, codomain):
+    assert (expr.domain_arity, expr.codomain_arity) == (domain, codomain)
 
 
 class TestEvaluate:

@@ -159,18 +159,10 @@ def test_fields_outside_comparison_are_ignored():
     assert a == b and hash(a) == hash(b)
     assert "spans" not in repr(a)
 
+
+def test_reports_differing_only_in_pivot_ratios_are_unequal():
     c, d = _report(ratios=(1.0, 0.5)), _report(ratios=(1.0, 1e-3))
-    assert c == d and hash(c) == hash(d)
-    assert repr(c) != repr(d)
-
-
-def test_defaults_apply():
-    args = dict(CASES[CoverageCertificate][0])
-    del args["worst_target"]
-    assert CoverageCertificate(**args).worst_target is None
-    args = dict(CASES[IndependenceReport][0])
-    del args["pivot_ratios"]
-    assert IndependenceReport(**args).pivot_ratios == ()
+    assert c != d and not c == d
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -257,11 +249,5 @@ def test_constructor_rejects_misbound_arguments(cls):
     with pytest.raises(TypeError):
         cls(*args[:1], **kwargs)
     for name in kwargs:
-        if name not in cls._defaults:
-            with pytest.raises(TypeError):
-                cls(**{key: value for key, value in kwargs.items() if key != name})
-
-
-@pytest.mark.parametrize("cls", CLASSES)
-def test_defaults_name_constructor_fields(cls):
-    assert set(cls._defaults) <= set(cls._fields)
+        with pytest.raises(TypeError):
+            cls(**{key: value for key, value in kwargs.items() if key != name})
