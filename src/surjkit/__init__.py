@@ -2,8 +2,9 @@
 
 The package builds explicit plane-filling maps from an exact Hilbert-curve
 codec, lifts them to arbitrary finite dimensions, spans a large family of
-surjections from sinh-type homeomorphisms, and certifies surjectivity and
-independence numerically on compact boxes.
+surjections from sinh-type homeomorphisms, certifies surjectivity on compact
+boxes by preimage witnesses, and ranks a span family exactly from its
+coefficients and exponents.
 
 Names load on first access: ``import surjkit`` imports no submodule, and
 ``surjkit.preimage`` (or ``from surjkit import preimage``) imports
@@ -36,9 +37,7 @@ _EXPORTS = {
         "expr_to_dict", "extend_to_line", "lift_dimension", "preimage", "project_lift",
     ),
     "certify": (
-        "BoxSpec", "CompositionRankReport", "CoverageCertificate", "IndependenceReport",
-        "Witness", "certify_surjective_on_box", "composition_preserves_rank",
-        "default_sample_points", "independence_report",
+        "BoxSpec", "CoverageCertificate", "Witness", "certify_surjective_on_box", "support_rank",
     ),
 }
 _DEFINED_IN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -258,9 +258,9 @@ def _write_report(
 
 def independence_json(members: Sequence[VectorSpanMember]) -> dict:
     """The report's independence block: the exact rank of the members' support matrix."""
-    from .certify import _support_rank
+    from .certify import support_rank
 
-    rank, rows = _support_rank(members)
+    rank, rows = support_rank(members)
     return {
         "family": [m.describe() for m in members],
         "method": "exact support matrix",

@@ -211,8 +211,11 @@ class ProjectLift(FunctionExpr):
     def __init__(self, inner: FunctionExpr, arity: int):
         if inner.domain_arity != 1:
             raise StructuralError("projection lift requires an inner domain arity of 1")
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-            raise DomainError(f"target domain arity must be an integer >= 1, got {arity!r}")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 2:
+            # refusing the identity (arity 1) keeps projections from nesting
+            raise DomainError(
+                f"target domain arity must be an integer >= 2 (1 is the identity), got {arity!r}"
+            )
         if arity > ARITY_CAP:
             raise ResourceError(f"domain arity {arity} exceeds cap {ARITY_CAP}")
         set_field(self, "inner", inner)
@@ -335,8 +338,9 @@ def lift_dimension(f: FunctionExpr) -> DimLift:
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
     """S_{1,n} -> S_{m,n} by F(x) = g(x_1); m = 1 returns g unchanged."""
-    lifted = ProjectLift(g, target_m)
-    return g if target_m == 1 else lifted
+    if type(target_m) is int and target_m == 1 and g.domain_arity == 1:
+        return g
+    return ProjectLift(g, target_m)
 
 
 def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompose:
@@ -537,7 +541,8 @@ def expr_from_dict(data: dict) -> FunctionExpr:
     """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
     unknown or missing keys, non-finite reals, non-integer arities and
     nesting past the interpreter's recursion limit raise StructuralError,
-    and an arity past ARITY_CAP raises ResourceError."""
+    an arity past ARITY_CAP raises ResourceError, and a node refuses what
+    it refuses in a direct call (a project_lift arity of 1 raises DomainError)."""
     try:
         return _read_node(data, "tree")
     except RecursionError:

@@ -18,21 +18,19 @@ from surjkit import (
     certify_surjective_on_box,
     classify_asymptotics,
     compose_with_base,
-    composition_preserves_rank,
-    default_sample_points,
     detect_degenerate,
     evaluate_at,
     evaluate_to_precision,
     extend_to_line,
     hilbert_encode,
-    independence_report,
     lift_dimension,
     make_diagonal_family,
     make_scalar_span,
     project_lift,
     scalar_solve,
+    support_rank,
 )
-from oracles import covered_targets, line_map_points
+from oracles import covered_targets, line_map_points, rank_highprec
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -146,15 +144,25 @@ def test_criterion_5_scalar_span_shadow():
     )
 
 
+def _rows(functions, points, evaluate):
+    """One row per function: its values at every point, flattened over coordinates."""
+    return [[v for p in points for v in evaluate(f, p)] for f in functions]
+
+
 def test_criterion_6_independence_rank():
     exponents = [0.5 * i for i in range(1, 11)]  # distinct, within (0, 5]
     family = make_diagonal_family(exponents, 2)
-    points = default_sample_points(32, 2)
-    base_report = independence_report(family, points, tol=1e-8)
-    ok = base_report.rank == 10 and base_report.full_rank
+    # 32 staggered positive points in R^2: the phi_r are odd, so a grid
+    # symmetric about 0 would pair its columns up as t, -t
+    base = [0.25 + 7.75 * i / 31 for i in range(32)]
+    step = (base[1] - base[0]) / 3
+    points = [(t, t + step) for t in base]
+    rank = rank_highprec(_rows(family, points, VectorSpanMember.value_at), 1e-8)
+    ok = rank == 10 and support_rank(family)[0] == 10
     for i in range(10):
-        dup = independence_report(family + [family[i]], points, tol=1e-8)
-        ok = ok and dup.rank == 10 and not dup.full_rank
+        dup = family + [family[i]]
+        dup_rank = rank_highprec(_rows(dup, points, VectorSpanMember.value_at), 1e-8)
+        ok = ok and dup_rank == 10 and support_rank(dup)[0] == 10 < len(dup)
     assert report(
         6, ok, "10 members reach rank 10 at tol 1e-8; every duplication stays rank 10 "
         "(deficient at size 11)"
@@ -164,12 +172,17 @@ def test_criterion_6_independence_rank():
 def test_criterion_7_composition_preserves_rank():
     family = make_diagonal_family([0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 3)
     base = s23_base()
-    ok = True
+    composed_family = [compose_with_base(m, base) for m in family]
+    ok = support_rank(family)[0] == 6
     for seed in (101, 202, 303):
         rng = random.Random(seed)
         points = [(rng.uniform(0.5, 2.5), rng.uniform(-1.0, 1.0)) for _ in range(12)]
-        rep = composition_preserves_rank(family, base, points)
-        ok = ok and rep.ranks_equal and rep.composed.rank == 6
+        images = [evaluate_at(base, p, 24).value for p in points]
+        composed = rank_highprec(
+            _rows(composed_family, points, lambda f, p: evaluate_at(f, p, 24).value), 1e-8
+        )
+        direct = rank_highprec(_rows(family, images, VectorSpanMember.value_at), 1e-8)
+        ok = ok and composed == direct == 6
     assert report(
         7, ok, "k=6 family keeps rank 6 after pre-composition with the S_2,3 base "
         "across 3 seeded draws"

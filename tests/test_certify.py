@@ -1,14 +1,12 @@
-"""Coverage certificates, degeneracy detection, and independence ranks."""
+"""Coverage certificates, degeneracy detection, and the exact support rank."""
 
 import io
 import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-import surjkit.certify
 import surjkit.surjections
 from surjkit import (
     BoxSpec,
@@ -23,19 +21,17 @@ from surjkit import (
     certify_surjective_on_box,
     combine_members,
     compose_with_base,
-    composition_preserves_rank,
-    default_sample_points,
     detect_degenerate,
+    evaluate_at,
     evaluate_to_precision,
     extend_to_line,
-    independence_report,
     lift_dimension,
     make_diagonal_family,
     make_scalar_span,
     preimage,
     project_lift,
+    support_rank,
 )
-from surjkit.certify import _support_rank, matrix_rank_pivoted
 from surjkit.cli import _write_report
 from surjkit.surjections import _sup_error
 from oracles import bisect_solve, phi_highprec, rank_highprec
@@ -338,163 +334,43 @@ class TestNanResidual:
 
 class TestIndependence:
     def test_single_function_has_rank_one(self):
-        report = independence_report(
-            [make_scalar_span([(1.0, 1.0)])], default_sample_points(8)
-        )
-        assert report.rank == 1 and report.full_rank
+        assert support_rank(make_diagonal_family([1.0], 1)) == (1, 1)
 
     def test_unknown_object_type_rejected(self):
-        with pytest.raises(DomainError, match="cannot evaluate an object of type object"):
-            independence_report([object()], default_sample_points(8))
+        # only span members have a support matrix: a bare span, a tree and
+        # anything else are refused, wherever they sit in the family
+        family = make_diagonal_family([1.0], 2)
+        for other in (
+            make_scalar_span([(1.0, 1.0)]),
+            compose_with_base(family[0], extend_to_line()),
+            object(),
+        ):
+            with pytest.raises(
+                DomainError, match=f"^cannot rank an object of type {type(other).__name__}$"
+            ):
+                support_rank(family + [other])
 
     def test_duplicate_refutes_independence(self):
-        span = make_scalar_span([(1.0, 1.0)])
-        report = independence_report([span, span], default_sample_points(8))
-        assert report.rank == 1
-        assert not report.full_rank
+        member = make_diagonal_family([1.0], 1)[0]
+        assert support_rank([member, member]) == (1, 1)
 
     def test_ten_members_reach_full_rank_and_match_highprec_oracle(self):
         exponents = [0.5 * i for i in range(1, 11)]
-        points = default_sample_points(32)
-        family = [make_scalar_span([(1.0, r)]) for r in exponents]
-        report = independence_report(family, points, tol=1e-8)
-        assert report.rank == 10
+        assert support_rank(make_diagonal_family(exponents, 1)) == (10, 10)
 
-        matrix = [[float(phi_highprec(r, t)) for (t,) in points] for r in exponents]
+        points = [0.25 + 7.75 * i / 31 for i in range(32)]  # positive: the phi_r are odd
+        matrix = [[float(phi_highprec(r, t)) for t in points] for r in exponents]
         assert rank_highprec(matrix, 1e-8) == 10
 
     def test_rank_monotone_under_family_growth(self):
-        points = default_sample_points(24)
-        family = [make_scalar_span([(1.0, r)]) for r in (0.5, 1.5, 2.5, 3.5, 4.5)]
-        ranks = []
-        for size in range(1, len(family) + 1):
-            ranks.append(independence_report(family[:size], points).rank)
-        assert ranks == sorted(ranks)
+        family = make_diagonal_family((0.5, 1.5, 2.5, 3.5, 4.5), 2)
+        family.insert(3, combine_members([1, -2], family[:2]))
+        ranks = [support_rank(family[:size])[0] for size in range(1, len(family) + 1)]
+        assert ranks == [1, 2, 3, 3, 4, 5]
 
-    def test_needs_enough_points(self):
-        family = [make_scalar_span([(1.0, r)]) for r in (1.0, 2.0)]
-        with pytest.raises(DomainError):
-            independence_report(family, [(1.0,)])
-
-    def test_overflowing_member_is_a_resource_failure(self):
-        family = [make_scalar_span([(1.0, r)]) for r in (1.0, 200.0)]
-        points = [(0.5,), (1.0,), (8.0,)]
-        with pytest.raises(ResourceError, match=r"1\*phi\[200\] is not finite at sample point \(8\.0,\)"):
-            independence_report(family, points)
-
-    def test_report_is_reproducible_from_stored_points(self):
-        family = make_diagonal_family([1.0, 2.0, 3.0], 2)
-        points = default_sample_points(12, 2)
-        first = independence_report(family, points)
-        again = independence_report(family, [tuple(p) for p in first.points])
-        assert again.rank == first.rank
-        assert again.points == first.points
-
-
-def numpy_rank_pivoted(matrix, tol):
-    """The same equilibrated complete-pivot elimination on numpy arrays.
-
-    Written out independently of the package's list version; IEEE doubles
-    must give both the same rank and bit-identical pivot ratios.
-    """
-    a = np.atleast_2d(np.asarray(matrix, dtype=float)).copy()
-    for _ in range(6):
-        row_max = np.abs(a).max(axis=1, keepdims=True)
-        row_max[row_max == 0.0] = 1.0
-        a /= row_max
-        col_max = np.abs(a).max(axis=0, keepdims=True)
-        col_max[col_max == 0.0] = 1.0
-        a /= col_max
-    rows = list(range(a.shape[0]))
-    cols = list(range(a.shape[1]))
-    pivots = []
-    while rows and cols:
-        sub = np.abs(a[np.ix_(rows, cols)])
-        i, j = np.unravel_index(np.argmax(sub), sub.shape)
-        piv = float(sub[i, j])
-        if piv == 0.0 or (pivots and piv <= tol * pivots[0]):
-            break
-        pivots.append(piv)
-        pr, pc = rows[i], cols[j]
-        for r in rows:
-            if r != pr:
-                a[r, :] -= (a[r, pc] / a[pr, pc]) * a[pr, :]
-        rows.remove(pr)
-        cols.remove(pc)
-    return len(pivots), [p / pivots[0] for p in pivots] if pivots else []
-
-
-def random_matrix(rng):
-    """Rows of mixed magnitudes, with zero rows and columns and scaled duplicates."""
-    n = rng.randrange(1, 9)
-    m = rng.randrange(1, 3 * n + 4)
-    kind = rng.randrange(4)
-    if kind == 0:  # sinh columns over an exponential family, as the reports build
-        points = sorted(rng.uniform(0.25, 8.0) for _ in range(m))
-        a = [[2.0 * math.sinh(rng.uniform(0.5, 6.0) * t) for t in points] for _ in range(n)]
-    else:
-        a = [
-            [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, 12) for _ in range(m)]
-            for _ in range(n)
-        ]
-    if kind == 2 and n > 1:  # scaled duplicates of earlier rows
-        for i in range(1, n, 2):
-            scale = rng.choice((2.0, -0.5, 3.0, 1e-9, 7e11))
-            a[i] = [scale * x for x in a[rng.randrange(i)]]
-    if kind == 3:  # zero rows and zero columns
-        for i in rng.sample(range(n), rng.randrange(n + 1)):
-            a[i] = [0.0] * m
-        for j in rng.sample(range(m), rng.randrange(m + 1)):
-            for row in a:
-                row[j] = 0.0
-    return a
-
-
-class TestRankElimination:
-    def assert_same_as_numpy(self, matrix, tol=1e-8):
-        rank, ratios = matrix_rank_pivoted(matrix, tol)
-        ref_rank, ref_ratios = numpy_rank_pivoted(matrix, tol)
-        assert rank == ref_rank
-        assert [repr(x) for x in ratios] == [repr(x) for x in ref_ratios]
-        return rank
-
-    def test_matches_the_numpy_elimination_bit_for_bit(self):
-        rng = random.Random(20261018)
-        ranks = set()
-        for _ in range(200):
-            matrix = random_matrix(rng)
-            ranks.add(self.assert_same_as_numpy(matrix, tol=rng.choice((1e-8, 1e-12, 1e-3))))
-        assert {0, 1} < ranks and max(ranks) >= 6
-
-    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-    def test_readme_report_matrices_match(self, monkeypatch, seed):
-        seen = []
-
-        def spy(matrix, tol):
-            seen.append(matrix)
-            return matrix_rank_pivoted(matrix, tol)
-
-        monkeypatch.setattr(surjkit.certify, "matrix_rank_pivoted", spy)
-        base = s23_base()
-        family = [compose_with_base(m, base) for m in make_diagonal_family([1.0, 2.0], 3)]
-        # the 16 points the command line sampled before it ranked exactly
-        points = default_sample_points(16, 2)
-        if seed is not None:
-            rng = random.Random(seed)
-            points = [(rng.uniform(0.25, 8.0), rng.uniform(0.25, 8.0)) for _ in range(16)]
-        report = independence_report(family, points)
-        assert report.matrix_shape == (2, 48) and report.full_rank
-        (matrix,) = seen
-        assert self.assert_same_as_numpy(matrix) == 2
-
-    def test_non_finite_entries_rejected(self):
-        for bad in (math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError):
-                matrix_rank_pivoted([[1.0, bad], [2.0, 3.0]], 1e-8)
-
-    def test_empty_shapes_have_rank_zero(self):
-        assert matrix_rank_pivoted([], 1e-8) == (0, [])
-        assert matrix_rank_pivoted([[], []], 1e-8) == (0, [])
+    def test_overflowing_exponents_rank_fully(self):
+        # 2 sinh(200 t) is past float range beyond t = 3.55; the rank never evaluates it
+        assert support_rank(make_diagonal_family([100.0, 200.0], 1)) == (2, 2)
 
 
 def scalar_member(coefficients):
@@ -515,23 +391,23 @@ class TestSupportRank:
     def test_mixed_pairs_cancel_in_one_combination(self):
         # Phi(1,1) - Phi(1,2) - Phi(2,1) + Phi(2,2) is the zero function
         family = [VectorSpanMember([(1.0, (i, j))], 2) for i in (1, 2) for j in (1, 2)]
-        assert _support_rank(family) == (3, 4)
+        assert support_rank(family) == (3, 4)
 
     def test_duplicate_member_leaves_the_rank(self):
         family = make_diagonal_family([1.0, 2.0, 3.0], 2)
-        assert _support_rank(family) == _support_rank(family + [family[1]]) == (3, 6)
+        assert support_rank(family) == support_rank(family + [family[1]]) == (3, 6)
 
     def test_diagonal_one_to_eight_has_full_rank(self):
-        assert _support_rank(make_diagonal_family(range(1, 9), 3)) == (8, 24)
+        assert support_rank(make_diagonal_family(range(1, 9), 3)) == (8, 24)
 
     def test_a_cancellation_only_exact_arithmetic_sees(self):
-        # c's coefficients are the exact sums of a's and b's, yet the float
-        # elimination of the same columns leaves a rounding residue
+        # c's coefficients are the exact sums of a's and b's, yet rounded
+        # elimination of the same columns, even in 50 digits, leaves a residue
         a, b = (0.1, 0.7, 0.6), (0.1, 1.1, 0.4)
         c = tuple(x + y for x, y in zip(a, b))
         assert all(Fraction(x) + Fraction(y) == Fraction(z) for x, y, z in zip(a, b, c))
-        assert _support_rank([scalar_member(a), scalar_member(b), scalar_member(c)]) == (2, 3)
-        assert matrix_rank_pivoted([a, b, c], 0.0)[0] == 3
+        assert support_rank([scalar_member(a), scalar_member(b), scalar_member(c)]) == (2, 3)
+        assert rank_highprec([a, b, c], 0.0) == 3
 
     def test_matches_the_highprec_rank_of_evaluation_matrices(self):
         rng = random.Random(20261019)
@@ -541,48 +417,44 @@ class TestSupportRank:
             family = [random_member(rng, arity) for _ in range(rng.randint(1, 5))]
             points = [[rng.uniform(0.25, 3.0) for _ in range(arity)] for _ in range(12)]
             matrix = [[v for p in points for v in m.value_at(p)] for m in family]
-            rank, _ = _support_rank(family)
+            rank, _ = support_rank(family)
             assert rank == rank_highprec(matrix, 1e-8)
             deficient += rank < len(family)
         assert 5 <= deficient <= 35
 
 
+def composition_ranks(family, points):
+    """50-digit ranks of {F_i o base} at the points and of {F_i} at their images."""
+    base = s23_base()
+    images = [evaluate_at(base, p, 24).value for p in points]
+    composed = [
+        [v for p in points for v in evaluate_at(compose_with_base(m, base), p, 24).value]
+        for m in family
+    ]
+    direct = [[v for y in images for v in m.value_at(y)] for m in family]
+    return rank_highprec(composed, 1e-8), rank_highprec(direct, 1e-8)
+
+
 class TestCompositionRank:
+    # pre-composition with a surjection creates no linear relation, so the
+    # evaluated ranks on both sides agree with the exact rank of the members
     def test_single_member(self):
         fam = make_diagonal_family([1.0], 3)
         pts = [(0.5, 0.0), (1.5, 1.0), (2.5, -1.0)]
-        rep = composition_preserves_rank(fam, s23_base(), pts)
-        assert rep.composed.rank == rep.direct.rank == 1
+        assert composition_ranks(fam, pts) == (1, 1)
+        assert support_rank(fam)[0] == 1
 
     def test_duplicate_member_deficient_on_both_sides(self):
         fam = make_diagonal_family([1.0, 2.0], 3)
         fam = [fam[0], fam[1], fam[0]]
         rng = random.Random(41)
         pts = [(rng.uniform(0.5, 2.5), rng.uniform(-1, 1)) for _ in range(8)]
-        rep = composition_preserves_rank(fam, s23_base(), pts)
-        assert rep.ranks_equal
-        assert rep.composed.rank == 2
+        assert composition_ranks(fam, pts) == (2, 2)
+        assert support_rank(fam)[0] == 2
 
     def test_six_members_rank_six_before_and_after(self):
         fam = make_diagonal_family([0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 3)
         rng = random.Random(101)
         pts = [(rng.uniform(0.5, 2.5), rng.uniform(-1, 1)) for _ in range(12)]
-        rep = composition_preserves_rank(fam, s23_base(), pts)
-        assert rep.ranks_equal
-        assert rep.composed.rank == 6
-
-
-class TestSamplePoints:
-    def test_equispaced_points_are_positive_and_increasing(self):
-        pts = [t for (t,) in default_sample_points(16)]
-        assert all(t > 0 for t in pts)
-        assert pts == sorted(pts)
-
-    def test_default_sample_points_respect_arity(self):
-        pts = default_sample_points(10, 3)
-        assert len(pts) == 10
-        assert all(len(p) == 3 for p in pts)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(DomainError):
-            default_sample_points(1)
+        assert composition_ranks(fam, pts) == (6, 6)
+        assert support_rank(fam)[0] == 6

@@ -146,6 +146,19 @@ class TestProjectLift:
         g = extend_to_line()
         assert project_lift(g, 1) is g
 
+    def test_arity_one_node_is_refused(self):
+        # the identity projection is never a node, so projections cannot nest
+        data = {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 1}
+        for build in (
+            lambda: ProjectLift(PeanoLine(), 1),
+            lambda: DimLift(ProjectLift(PeanoLine(), 1)),
+            lambda: project_lift(extend_to_line(), True),
+            lambda: expr_from_dict(data),
+            lambda: expr_from_dict({"kind": "dim_lift", "inner": data}),
+        ):
+            with pytest.raises(DomainError, match=r"^target domain arity must be an integer >= 2"):
+                build()
+
     @pytest.mark.parametrize("arity", [2.5, 2.0, True, "2", None])
     def test_non_integer_arity_rejected(self, arity):
         with pytest.raises(DomainError):
@@ -185,7 +198,6 @@ LINE = PeanoLine()
         (PhiCompose(diagonal_member(3), ProjectLift(DimLift(LINE), 6)), 6, 2 + 1),
         # shapes that only direct calls build, never a spec file
         (DimLift(PhiCompose(diagonal_member(2), LINE)), 1, 2 + 1),
-        (DimLift(ProjectLift(LINE, 1)), 1, 2 + 1),
         (ProjectLift(DimLift(PhiCompose(diagonal_member(2), LINE)), 2), 2, 2 + 1),
         (
             PhiCompose(diagonal_member(4), DimLift(PhiCompose(diagonal_member(3), DimLift(LINE)))),

@@ -10,13 +10,11 @@ from surjkit import (
     Asymptotics,
     BoxSpec,
     CellAddress,
-    CompositionRankReport,
     CoverageCertificate,
     CurveParam,
     DimLift,
     DomainError,
     EvalResult,
-    IndependenceReport,
     PeanoLine,
     PhiCompose,
     PlanePoint,
@@ -33,10 +31,6 @@ from surjkit.cli import SpecFile
 MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)),), 2)
 BOX = BoxSpec(((-1.0, 1.0), (0.0, 2.0)), 3)
 WITNESS = Witness((0.5, 1.5), (Fraction(3, 4),), 1e-4)
-
-
-def _report(rank=2, ratios=(1.0, 0.5)):
-    return IndependenceReport(("a", "b"), ((1.0,), (2.0,)), (2, 2), rank, 1e-8, ratios)
 
 
 # class -> (keyword arguments of one instance, in constructor order; the same
@@ -74,21 +68,6 @@ CASES = {
             "worst_target": (0.5, 1.5),
         },
         {"status": "certified"},
-    ),
-    IndependenceReport: (
-        {
-            "family": ("a", "b"),
-            "points": ((1.0,), (2.0,)),
-            "matrix_shape": (2, 2),
-            "rank": 2,
-            "tolerance": 1e-8,
-            "pivot_ratios": (1.0, 0.5),
-        },
-        {"rank": 1},
-    ),
-    CompositionRankReport: (
-        {"composed": _report(), "direct": _report()},
-        {"direct": _report(rank=1)},
     ),
     SpecFile: (
         {
@@ -158,11 +137,6 @@ def test_fields_outside_comparison_are_ignored():
     object.__setattr__(b, "spans", ())
     assert a == b and hash(a) == hash(b)
     assert "spans" not in repr(a)
-
-
-def test_reports_differing_only_in_pivot_ratios_are_unequal():
-    c, d = _report(ratios=(1.0, 0.5)), _report(ratios=(1.0, 1e-3))
-    assert c != d and not c == d
 
 
 @pytest.mark.parametrize("cls", CLASSES)
