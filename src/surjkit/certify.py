@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._value import Value, set_field
 from .errors import DomainError, ResourceError, StructuralError
@@ -107,6 +107,19 @@ def certify_surjective_on_box(
     residual is the one the single forward check of the preimage search
     measured. Per-target cap errors re-raise prefixed with the target.
     """
+    witnesses = tuple(_witnesses(f, box, eps, target_budget))
+    status, worst_target = _verdict(witnesses, eps)
+    return CoverageCertificate(f.describe(), box, eps, witnesses, status, worst_target)
+
+
+def _witnesses(
+    f: Certifiable, box: BoxSpec, eps: float, target_budget: int = DEFAULT_TARGET_BUDGET
+) -> Iterator[Witness]:
+    """The witness of each grid target, in targets() order, found as it is asked for.
+
+    The arguments are checked on the call, before any target is searched;
+    the grid is walked, not listed, so memory stays flat at any grid size.
+    """
     if not isinstance(f, (VectorSpanMember, FunctionExpr)):
         raise DomainError(f"cannot certify an object of type {type(f).__name__}")
     if not 0 < eps < math.inf:
@@ -120,9 +133,13 @@ def certify_surjective_on_box(
     codomain = f.arity if member is not None else f.codomain_arity
     if box.arity != codomain:
         raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")
+    return _search(f, member, box, eps)
 
-    witnesses = []
-    for target in box.targets():
+
+def _search(
+    f: Certifiable, member: Optional[VectorSpanMember], box: BoxSpec, eps: float
+) -> Iterator[Witness]:
+    for target in itertools.product(*box._axes()):
         try:
             if member is not None:
                 point, _ = _sinh_stage(member, target, eps / 2.0, "member")
@@ -133,19 +150,21 @@ def certify_surjective_on_box(
                 point, achieved = _checked_preimage(f, target, eps)
         except ResourceError as err:
             raise ResourceError(f"target {target}: {err}") from err
-        witnesses.append(Witness(target, point, achieved))
+        yield Witness(target, point, achieved)
 
-    # a nan residual ranks worst, as it fails every comparison with eps
-    worst = max(witnesses, key=lambda w: (w.achieved_error != w.achieved_error, w.achieved_error))
-    certified = worst.achieved_error <= eps
-    return CoverageCertificate(
-        function_id=f.describe(),
-        box=box,
-        epsilon=eps,
-        witnesses=tuple(witnesses),
-        status="certified" if certified else "failed",
-        worst_target=None if certified else worst.target,
+
+def _verdict(witnesses: Iterable[Witness], eps: float) -> tuple[str, Optional[tuple[float, ...]]]:
+    """(status, worst target or None), folded over the witnesses as they come:
+    the first worst witness wins, and a nan residual ranks worst, as it
+    fails every comparison with eps. An empty stream certifies."""
+    worst = max(
+        witnesses,
+        key=lambda w: (w.achieved_error != w.achieved_error, w.achieved_error),
+        default=None,
     )
+    if worst is None or worst.achieved_error <= eps:
+        return "certified", None
+    return "failed", worst.target
 
 
 def support_rank(members: Sequence[VectorSpanMember]) -> tuple[int, int]:

@@ -8,6 +8,9 @@ certify  --spec PATH --report PATH [--budget N] [--seed S]
 
 Exit codes: 0 success; 1 certificate not certified or rank deficient;
 2 validation failure; 3 resource cap; 4 degenerate family member.
+`certify` spools each witness to PATH.part as it is found and writes the
+report after the last one: memory stays flat at any grid, and a failed
+run leaves no report (nor changes an earlier one).
 
 The spec file is JSON with sections `base`, `family`, `certify`, `output`;
 reals are finite decimal strings, counts are JSON integers; unknown keys
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ._value import Value
 from ._hilbert import DEFAULT_DEPTH_CAP, _trace_blocks
@@ -42,7 +45,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:  # the commands import these where they run them
-    from .certify import BoxSpec, CoverageCertificate
+    from .certify import BoxSpec, Witness
     from .spans import VectorSpanMember
     from .surjections import FunctionExpr
 
@@ -200,11 +203,17 @@ def _block(value, level: int) -> str:
 
 
 def _write_report(
-    fh, cert: CoverageCertificate, independence: Optional[dict], settings: dict
-) -> None:
-    """The report, byte for byte as json.dump(..., indent=2, sort_keys=True)
-    writes it, streamed one witness at a time so that no whole-report
-    string or per-witness dict is built.
+    path: str, function_id: str, box: BoxSpec, epsilon: float, witnesses: Iterable[Witness],
+    independence: Optional[dict], settings: dict,
+) -> tuple[str, Optional[tuple[float, ...]]]:
+    """Write the report to path; return its (status, worst target), as
+    certify_surjective_on_box folds them.
+
+    The bytes are json.dump(..., indent=2, sort_keys=True)'s. Each witness's
+    text goes to the spool path + ".part" as it arrives, and the status is
+    folded on the way; only then is path opened, for the header, the
+    spool's copy and the trailer. So no witness is kept, and a failed run
+    leaves path as it was. The spool is always removed.
 
     Every value is a string, int, bool or null; the reals are written by
     format_real and exact_string, which need no escaping. A witness's lists
@@ -215,45 +224,59 @@ def _write_report(
     looked up by value. Zero is left out, as -0.0 == 0.0 share a key but
     print apart; a value off the grid is formatted where it is met.
     """
+    import os
     from json.encoder import encode_basestring_ascii
+    from .certify import _verdict
 
-    grid_text = {x: format_real(x) for axis in cert.box._axes() for x in axis if x}
-    box = {
-        "bounds": [[format_real(lo), format_real(hi)] for lo, hi in cert.box.bounds],
-        "grid_points": cert.box.grid_points,
-    }
-    worst = None if cert.worst_target is None else [format_real(x) for x in cert.worst_target]
-    fh.write(
-        '{\n  "certificate": {\n'
-        f'    "box": {_block(box, 2)},\n'
-        f'    "epsilon": "{format_real(cert.epsilon)}",\n'
-        f'    "function": {encode_basestring_ascii(cert.function_id)},\n'
-        f'    "status": {encode_basestring_ascii(cert.status)},\n'
-        '    "witnesses": ['
-    )
-    sep, lead = '",\n          "', "\n"
-    for w in cert.witnesses:
-        fh.write(
-            f'{lead}      {{\n'
-            f'        "achieved_error": "{format_real(w.achieved_error)}",\n'
-            f'        "preimage_decimal": [\n'
-            f'          "{sep.join([format_real(x) for x in w.preimage])}"\n'
-            f'        ],\n'
-            f'        "preimage_exact": [\n'
-            f'          "{sep.join([exact_string(x) for x in w.preimage])}"\n'
-            f'        ],\n'
-            f'        "target": [\n'
-            f'          "{sep.join([grid_text.get(y) or format_real(y) for y in w.target])}"\n'
-            f'        ]\n'
-            f'      }}'
-        )
-        lead = ",\n"
-    fh.write(
-        ("\n    ]" if cert.witnesses else "]")
-        + f',\n    "worst_target": {_block(worst, 2)}\n  }},\n'
-        f'  "independence": {_block(independence, 1)},\n'
-        f'  "settings": {_block(settings, 1)}\n}}\n'
-    )
+    grid_text = {x: format_real(x) for axis in box._axes() for x in axis if x}
+    sep, part = '",\n          "', path + ".part"
+
+    def spooled(spool):
+        lead = "\n"
+        for w in witnesses:
+            spool.write(
+                f'{lead}      {{\n'
+                f'        "achieved_error": "{format_real(w.achieved_error)}",\n'
+                f'        "preimage_decimal": [\n'
+                f'          "{sep.join([format_real(x) for x in w.preimage])}"\n'
+                f'        ],\n'
+                f'        "preimage_exact": [\n'
+                f'          "{sep.join([exact_string(x) for x in w.preimage])}"\n'
+                f'        ],\n'
+                f'        "target": [\n'
+                f'          "{sep.join([grid_text.get(y) or format_real(y) for y in w.target])}"\n'
+                f'        ]\n'
+                f'      }}'
+            )
+            lead = ",\n"
+            yield w
+
+    spool = open(part, "w", encoding="utf-8")
+    try:
+        with spool:
+            status, worst = _verdict(spooled(spool), epsilon)
+            spool.write("\n    ]" if spool.tell() else "]")  # tell() is 0 for no witness
+        bounds = [[format_real(lo), format_real(hi)] for lo, hi in box.bounds]
+        shown = None if worst is None else [format_real(x) for x in worst]
+        with open(path, "w", encoding="utf-8") as fh, open(part, encoding="utf-8") as src:
+            fh.write(
+                '{\n  "certificate": {\n'
+                f'    "box": {_block({"bounds": bounds, "grid_points": box.grid_points}, 2)},\n'
+                f'    "epsilon": "{format_real(epsilon)}",\n'
+                f'    "function": {encode_basestring_ascii(function_id)},\n'
+                f'    "status": {encode_basestring_ascii(status)},\n'
+                '    "witnesses": ['
+            )
+            while chunk := src.read(1 << 16):
+                fh.write(chunk)
+            fh.write(
+                f',\n    "worst_target": {_block(shown, 2)}\n  }},\n'
+                f'  "independence": {_block(independence, 1)},\n'
+                f'  "settings": {_block(settings, 1)}\n}}\n'
+            )
+    finally:
+        os.remove(part)
+    return status, worst
 
 
 def independence_json(members: Sequence[VectorSpanMember]) -> dict:
@@ -302,23 +325,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from .certify import DEFAULT_TARGET_BUDGET, certify_surjective_on_box
+    from .certify import DEFAULT_TARGET_BUDGET, _witnesses
 
     spec = parse_spec_file(args.spec)
     if spec.certify_box is None:
         raise StructuralError("spec has no 'certify' section")
     budget = DEFAULT_TARGET_BUDGET if args.budget is None else args.budget
-    certificate = certify_surjective_on_box(
-        spec.pipeline, spec.certify_box, spec.certify_epsilon, target_budget=budget
-    )
+    box, eps = spec.certify_box, spec.certify_epsilon
+    witnesses = _witnesses(spec.pipeline, box, eps, target_budget=budget)
 
     members = spec.family_members
     independence = independence_json(members) if len(members) >= 2 else None
-    with open(args.report, "w", encoding="utf-8") as fh:
-        _write_report(fh, certificate, independence, {"budget": budget, "seed": args.seed})
+    settings = {"budget": budget, "seed": args.seed}
+    status, _ = _write_report(
+        args.report, spec.pipeline.describe(), box, eps, witnesses, independence, settings
+    )
 
-    ok = certificate.certified and (independence is None or independence["full_rank"])
-    print(f"status {certificate.status}")
+    ok = status == "certified" and (independence is None or independence["full_rank"])
+    print(f"status {status}")
     if independence is not None:
         print(f"rank {independence['rank']}/{len(members)}")
     return EXIT_OK if ok else EXIT_UNCERTIFIED

@@ -13,6 +13,8 @@ project_lift     turns an S_{1,n} tree into S_{m,n} by reading only the
                  (both refuse an arity past ARITY_CAP, as their nodes do)
 compose_with_base  applies a vector span member after a base surjection;
                    this node is the one form of "member after base"
+Every node refuses a tree deeper than DEPTH_CAP nodes, so that the
+recursive walks (hash, describe, evaluation, inversion) stay bounded.
 
 evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
@@ -40,6 +42,7 @@ from .errors import (
 from .spans import ARITY_CAP, ScalarSpan, VectorSpanMember, detect_degenerate, scalar_solve
 
 EVAL_DEPTH_CAP = 4096
+DEPTH_CAP = 16  # nodes on a tree's longest path; the spec reader builds at most 7
 DEFAULT_EVAL_DEPTH = 12
 # entries per inversion memo: a product grid repeats each axis value, and
 # the sinh stage and a lift's pair read one or two coordinates of a target
@@ -55,6 +58,7 @@ class FunctionExpr(Value):
 
     __slots__ = ()
     kind: str
+    tree_depth: int  # nodes on the path down to the line-to-plane map, this one included
 
     # a node has its inner map's arities unless it changes one
     @property
@@ -87,6 +91,7 @@ class PeanoLine(FunctionExpr):
     kind = "peano_line"
     domain_arity = 1
     codomain_arity = 2
+    tree_depth = 1
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         p, q = point[0]
@@ -159,7 +164,8 @@ class DimLift(FunctionExpr):
     """Expands the last output coordinate of an S_{1,n} tree through a
     fresh line-to-plane map (the trailing pair), producing S_{1,n+1}."""
 
-    __slots__ = _fields = ("inner",)
+    _fields = ("inner",)
+    __slots__ = _fields + ("tree_depth",)
     inner: FunctionExpr
     kind = "dim_lift"
 
@@ -168,6 +174,7 @@ class DimLift(FunctionExpr):
             raise StructuralError("lift requires a domain arity of 1")
         if inner.codomain_arity + 1 > ARITY_CAP:
             raise ResourceError(f"codomain {inner.codomain_arity + 1} exceeds cap {ARITY_CAP}")
+        set_field(self, "tree_depth", _deeper(inner))
         set_field(self, "inner", inner)
 
     @property
@@ -203,7 +210,8 @@ class DimLift(FunctionExpr):
 class ProjectLift(FunctionExpr):
     """Reads only the first input coordinate: F(x_1, ..., x_m) = g(x_1)."""
 
-    __slots__ = _fields = ("inner", "arity")
+    _fields = ("inner", "arity")
+    __slots__ = _fields + ("tree_depth",)
     inner: FunctionExpr
     arity: int
     kind = "project_lift"
@@ -218,6 +226,7 @@ class ProjectLift(FunctionExpr):
             )
         if arity > ARITY_CAP:
             raise ResourceError(f"domain arity {arity} exceeds cap {ARITY_CAP}")
+        set_field(self, "tree_depth", _deeper(inner))
         set_field(self, "inner", inner)
         set_field(self, "arity", arity)
 
@@ -239,7 +248,8 @@ class ProjectLift(FunctionExpr):
 class PhiCompose(FunctionExpr):
     """A vector span member applied after a base surjection."""
 
-    __slots__ = _fields = ("member", "inner")
+    _fields = ("member", "inner")
+    __slots__ = _fields + ("tree_depth",)
     member: VectorSpanMember
     inner: FunctionExpr
     kind = "phi_compose"
@@ -249,6 +259,7 @@ class PhiCompose(FunctionExpr):
             raise StructuralError(
                 f"member arity {member.arity} != base codomain {inner.codomain_arity}"
             )
+        set_field(self, "tree_depth", _deeper(inner))
         set_field(self, "member", member)
         set_field(self, "inner", inner)
 
@@ -277,6 +288,14 @@ class PhiCompose(FunctionExpr):
 
 
 _PAIR = PeanoLine()  # the trailing line-to-plane map of every lift
+
+
+def _deeper(inner: FunctionExpr) -> int:
+    """The tree depth of a node over inner; past DEPTH_CAP, ResourceError."""
+    depth = inner.tree_depth + 1
+    if depth > DEPTH_CAP:
+        raise ResourceError(f"tree depth {depth} exceeds cap {DEPTH_CAP}")
+    return depth
 
 
 def _in_node(err: ResourceError, node: str) -> ResourceError:
@@ -541,8 +560,9 @@ def expr_from_dict(data: dict) -> FunctionExpr:
     """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
     unknown or missing keys, non-finite reals, non-integer arities and
     nesting past the interpreter's recursion limit raise StructuralError,
-    an arity past ARITY_CAP raises ResourceError, and a node refuses what
-    it refuses in a direct call (a project_lift arity of 1 raises DomainError)."""
+    an arity past ARITY_CAP or a tree deeper than DEPTH_CAP raises
+    ResourceError, and a node refuses what it refuses in a direct call (a
+    project_lift arity of 1 raises DomainError)."""
     try:
         return _read_node(data, "tree")
     except RecursionError:

@@ -1,6 +1,5 @@
 """Coverage certificates, degeneracy detection, and the exact support rank."""
 
-import io
 import math
 import random
 from fractions import Fraction
@@ -54,10 +53,9 @@ def clear_inversion_memos():
     surjkit.surjections._invert_pair.cache_clear()
 
 
-def report_text(cert):
-    fh = io.StringIO()
-    _write_report(fh, cert, None, {})
-    return fh.getvalue()
+def report_text(cert, path):
+    _write_report(str(path), cert.function_id, cert.box, cert.epsilon, cert.witnesses, None, {})
+    return path.read_text(encoding="utf-8")
 
 
 class TestDetectDegenerate:
@@ -194,7 +192,7 @@ class TestCoverage:
         # the repr also tells a root of -0.0 from 0.0
         assert warm == cold and repr(warm) == repr(cold)
 
-    def test_warm_memo_certificate_equals_cold(self):
+    def test_warm_memo_certificate_equals_cold(self, tmp_path):
         # both tolerances share every (span, y) and every pair target, so a
         # memo key that dropped tol or bits would hand the warm run at one
         # tolerance the results of the other
@@ -206,7 +204,7 @@ class TestCoverage:
         for eps in (1e-6, 1e-3):
             warm = certify_surjective_on_box(pipe, box, eps)
             assert warm == certs[eps]
-            assert report_text(warm) == report_text(certs[eps])
+            assert report_text(warm, tmp_path / "a") == report_text(certs[eps], tmp_path / "b")
 
     @pytest.mark.parametrize("lifts,walks", [(0, 1), (1, 2)])
     def test_one_curve_walk_per_curve_stage_per_target(self, monkeypatch, lifts, walks):

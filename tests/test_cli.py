@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ import surjkit.surjections
 from surjkit import (
     BoxSpec,
     CoverageCertificate,
+    ResourceError,
     VectorSpanMember,
     Witness,
     combine_members,
@@ -383,6 +385,65 @@ class TestCertify:
         assert main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")]) == EXIT_OK
         assert depths and set(depths) == {None}
 
+    @pytest.mark.parametrize("earlier", [None, b"an earlier report\n"], ids=["none", "earlier"])
+    @pytest.mark.parametrize("failure", ["resource-at-third-target", "degenerate"])
+    def test_a_failed_run_leaves_neither_report_nor_spool(
+        self, tmp_path, capsys, monkeypatch, failure, earlier
+    ):
+        report = tmp_path / "r.json"
+        spool = tmp_path / "r.json.part"
+        if earlier is not None:
+            report.write_bytes(earlier)
+        if failure == "degenerate":
+            spec, code = DEGENERATE_SPEC, EXIT_DEGENERATE
+        else:
+            spec, code = BARE_CURVE_SPEC, EXIT_RESOURCE
+            found = surjkit.certify._checked_preimage
+            calls = []
+
+            def fail_third(expr, target, eps):
+                calls.append(target)
+                if len(calls) == 3:
+                    # two witnesses have been spooled; the report is not open yet
+                    assert spool.exists()
+                    assert report.exists() == (earlier is not None)
+                    raise ResourceError("injected")
+                return found(expr, target, eps)
+
+            monkeypatch.setattr(surjkit.certify, "_checked_preimage", fail_third)
+        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report)]
+        assert main(argv) == code
+        assert not spool.exists()
+        if earlier is None:
+            assert not report.exists()
+        else:
+            assert report.read_bytes() == earlier
+        if failure != "degenerate":
+            assert len(calls) == 3
+            assert "target (-100.25, -49.5): injected" in capsys.readouterr().err
+
+    def test_certify_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # witnesses are spooled as they are found and the grid is walked,
+        # not listed: 3,600 targets peak like 400, where keeping each
+        # witness costs about 330 bytes. The first run, at the larger grid,
+        # fills the caches and free lists that any run would fill.
+        def peak(grid):
+            spec = {
+                "base": {"construct": "extend_to_line"},
+                "certify": {"box": [["-10", "10"]] * 2, "grid": grid, "epsilon": "1e-3"},
+            }
+            argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(tmp_path / "r")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(60)
+        small, large = peak(20), peak(60)
+        assert abs(large - small) < 64 * 2**10
+
     def test_resource_failure_exits_3_naming_the_target(self, tmp_path, capsys):
         cases = [
             # the bare lift chain at eps 1e-200 needs a curve depth above the cap
@@ -468,10 +529,18 @@ def json_dump_form(text):
     return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def write_certificate(path, cert, independence=None, settings=None):
+    """_write_report on a certificate's fields; the writer's (status, worst target)."""
+    settings = settings or {"budget": 7, "seed": None}
+    return _write_report(
+        str(path), cert.function_id, cert.box, cert.epsilon, cert.witnesses, independence, settings
+    )
+
+
 def written_report(tmp_path, cert, independence=None, settings=None):
     path = tmp_path / "direct.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_report(fh, cert, independence, settings or {"budget": 7, "seed": None})
+    assert write_certificate(path, cert, independence, settings) == (cert.status, cert.worst_target)
+    assert not Path(f"{path}.part").exists()
     return path.read_text(encoding="utf-8")
 
 
@@ -519,6 +588,34 @@ class TestReportFormat:
         assert data["worst_target"] == ["-1", "2.5"]
         assert data["witnesses"][1]["preimage_exact"] == [f"-1/{2**70}", "5"]
 
+    @pytest.mark.parametrize(
+        "errors,worst",
+        [
+            ([1e-4, 5e-3, 2e-3], 1),
+            ([5e-3, math.nan, 7.0, math.nan], 1),
+            ([2e-3, 1e-4, 2e-3], 0),
+            ([1e-3, 0.0, 1e-4], None),
+        ],
+        ids=["above-eps", "nan-ranks-worst", "first-of-a-tie", "at-eps-certifies"],
+    )
+    def test_the_writer_folds_the_verdict_as_certify_does(
+        self, tmp_path, monkeypatch, errors, worst
+    ):
+        box = BoxSpec(((-1.0, 1.0), (-2.5, 2.5)), 3)
+        targets = box.targets()[: len(errors)]
+        witnesses = [Witness(t, (Fraction(1, 3),), e) for t, e in zip(targets, errors)]
+        monkeypatch.setattr(surjkit.certify, "_witnesses", lambda *args: iter(witnesses))
+        cert = surjkit.certify.certify_surjective_on_box(extend_to_line(), box, 1e-3)
+        assert cert.witnesses == tuple(witnesses)
+        assert cert.status == ("certified" if worst is None else "failed")
+        assert cert.worst_target == (None if worst is None else targets[worst])
+        # written_report asserts the writer's (status, worst target) equals cert's
+        text = written_report(tmp_path, cert)
+        assert text == json_dump_form(text)
+        data = json.loads(text)["certificate"]
+        assert data["status"] == cert.status
+        assert [w["achieved_error"] for w in data["witnesses"]] == list(map(format_real, errors))
+
     def test_empty_witness_list_and_a_hand_built_block(self, tmp_path):
         independence = {"family": ["a", "b"], "matrix_shape": [0, 2], "rank": 0, "empty": []}
         text = written_report(tmp_path, hand_built_certificate([]), independence)
@@ -562,13 +659,12 @@ class TestReportFormat:
             for _ in range(61 * 61)
         ]
         cert = hand_built_certificate(witnesses)
-        with open(tmp_path / "r.json", "w", encoding="utf-8") as fh:
-            tracemalloc.start()
-            try:
-                _write_report(fh, cert, None, {"budget": 100000, "seed": None})
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            write_certificate(tmp_path / "r.json", cert, None, {"budget": 100000, "seed": None})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 0.5 * 2**20
         text = (tmp_path / "r.json").read_text(encoding="utf-8")
         assert text == json_dump_form(text)

@@ -736,3 +736,51 @@ class TestSerialization:
     def test_unknown_keys_rejected(self):
         with pytest.raises(StructuralError):
             expr_from_dict({"kind": "peano_line", "padding": 1})
+
+
+# 0.5 sinh contracts near 0, so a long chain of members stays in float range
+SHRINK = VectorSpanMember(((0.25, (1.0, 1.0, 1.0)),), 3)
+
+
+def member_chain(depth):
+    """A lift, then members after it, up to the given tree depth; domain arity 1."""
+    tree = lift_dimension(extend_to_line())
+    while tree.tree_depth < depth:
+        tree = compose_with_base(SHRINK, tree)
+    return tree
+
+
+class TestDepthCap:
+    def test_a_tree_at_the_cap_builds_and_walks(self):
+        cap = surjkit.surjections.DEPTH_CAP
+        assert cap == 16
+        tree = project_lift(member_chain(cap - 1), 2)
+        assert tree.tree_depth == cap
+        assert [node.tree_depth for node in tree_nodes(tree)] == list(range(cap, 0, -1))
+        read = expr_from_dict(expr_to_dict(tree))
+        assert read == tree and hash(read) == hash(tree) and read.tree_depth == cap
+        # the depth is derived: not a field, so not in the dict or the repr
+        assert "tree_depth" not in repr(tree) and "tree_depth" not in str(expr_to_dict(tree))
+        assert tree.describe().count("0.25*Phi[1,1,1]") == cap - 3
+        value = evaluate_at(tree, (0.75, 2.0), 8).value
+        assert len(value) == 3 and all(map(math.isfinite, value))
+        assert evaluate_at(tree, (0.75, -1.0), 8) == evaluate_at(read, (0.75, 5.0), 8)
+
+    def test_one_node_deeper_is_refused_on_every_path(self):
+        top = member_chain(surjkit.surjections.DEPTH_CAP)
+        data = expr_to_dict(top)
+        member = expr_to_dict(compose_with_base(SHRINK, lift_dimension(extend_to_line())))["member"]
+        builds = [
+            lambda: compose_with_base(SHRINK, top),
+            lambda: PhiCompose(SHRINK, top),
+            lambda: lift_dimension(top),
+            lambda: DimLift(top),
+            lambda: project_lift(top, 2),
+            lambda: ProjectLift(top, 2),
+            lambda: expr_from_dict({"kind": "phi_compose", "member": member, "inner": data}),
+            lambda: expr_from_dict({"kind": "dim_lift", "inner": data}),
+            lambda: expr_from_dict({"kind": "project_lift", "inner": data, "arity": 2}),
+        ]
+        for build in builds:
+            with pytest.raises(ResourceError, match="^tree depth 17 exceeds cap 16$"):
+                build()
