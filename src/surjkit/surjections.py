@@ -13,8 +13,8 @@ project_lift     turns an S_{1,n} tree into S_{m,n} by reading only the
                  (both refuse an arity past ARITY_CAP, as their nodes do)
 compose_with_base  applies a vector span member after a base surjection;
                    this node is the one form of "member after base"
-Every node refuses a tree deeper than DEPTH_CAP nodes, so that the
-recursive walks (hash, describe, evaluation, inversion) stay bounded.
+A member applies at the root only; with the arity cap, no tree has more
+than 7 nodes, so hash, describe, evaluation and inversion stay bounded.
 
 evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
@@ -42,7 +42,6 @@ from .errors import (
 from .spans import ARITY_CAP, ScalarSpan, VectorSpanMember, detect_degenerate, scalar_solve
 
 EVAL_DEPTH_CAP = 4096
-DEPTH_CAP = 16  # nodes on a tree's longest path; the spec reader builds at most 7
 DEFAULT_EVAL_DEPTH = 12
 # entries per inversion memo: a product grid repeats each axis value, and
 # the sinh stage and a lift's pair read one or two coordinates of a target
@@ -58,7 +57,6 @@ class FunctionExpr(Value):
 
     __slots__ = ()
     kind: str
-    tree_depth: int  # nodes on the path down to the line-to-plane map, this one included
 
     # a node has its inner map's arities unless it changes one
     @property
@@ -91,12 +89,9 @@ class PeanoLine(FunctionExpr):
     kind = "peano_line"
     domain_arity = 1
     codomain_arity = 2
-    tree_depth = 1
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         p, q = point[0]
-        if type(p) is float:  # the output of a sinh stage
-            p, q = _ratio(p)
         if p <= 0:
             return ((0, 1), (0, 1)), 0.0
         i, r = divmod(p, q)
@@ -164,8 +159,7 @@ class DimLift(FunctionExpr):
     """Expands the last output coordinate of an S_{1,n} tree through a
     fresh line-to-plane map (the trailing pair), producing S_{1,n+1}."""
 
-    _fields = ("inner",)
-    __slots__ = _fields + ("tree_depth",)
+    __slots__ = _fields = ("inner",)
     inner: FunctionExpr
     kind = "dim_lift"
 
@@ -174,8 +168,7 @@ class DimLift(FunctionExpr):
             raise StructuralError("lift requires a domain arity of 1")
         if inner.codomain_arity + 1 > ARITY_CAP:
             raise ResourceError(f"codomain {inner.codomain_arity + 1} exceeds cap {ARITY_CAP}")
-        set_field(self, "tree_depth", _deeper(inner))
-        set_field(self, "inner", inner)
+        set_field(self, "inner", _below(inner))
 
     @property
     def codomain_arity(self) -> int:
@@ -210,8 +203,7 @@ class DimLift(FunctionExpr):
 class ProjectLift(FunctionExpr):
     """Reads only the first input coordinate: F(x_1, ..., x_m) = g(x_1)."""
 
-    _fields = ("inner", "arity")
-    __slots__ = _fields + ("tree_depth",)
+    __slots__ = _fields = ("inner", "arity")
     inner: FunctionExpr
     arity: int
     kind = "project_lift"
@@ -226,8 +218,7 @@ class ProjectLift(FunctionExpr):
             )
         if arity > ARITY_CAP:
             raise ResourceError(f"domain arity {arity} exceeds cap {ARITY_CAP}")
-        set_field(self, "tree_depth", _deeper(inner))
-        set_field(self, "inner", inner)
+        set_field(self, "inner", _below(inner))
         set_field(self, "arity", arity)
 
     @property
@@ -248,8 +239,7 @@ class ProjectLift(FunctionExpr):
 class PhiCompose(FunctionExpr):
     """A vector span member applied after a base surjection."""
 
-    _fields = ("member", "inner")
-    __slots__ = _fields + ("tree_depth",)
+    __slots__ = _fields = ("member", "inner")
     member: VectorSpanMember
     inner: FunctionExpr
     kind = "phi_compose"
@@ -259,9 +249,8 @@ class PhiCompose(FunctionExpr):
             raise StructuralError(
                 f"member arity {member.arity} != base codomain {inner.codomain_arity}"
             )
-        set_field(self, "tree_depth", _deeper(inner))
         set_field(self, "member", member)
-        set_field(self, "inner", inner)
+        set_field(self, "inner", _below(inner))
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         values, est = self.inner._eval(point, depth)
@@ -290,12 +279,11 @@ class PhiCompose(FunctionExpr):
 _PAIR = PeanoLine()  # the trailing line-to-plane map of every lift
 
 
-def _deeper(inner: FunctionExpr) -> int:
-    """The tree depth of a node over inner; past DEPTH_CAP, ResourceError."""
-    depth = inner.tree_depth + 1
-    if depth > DEPTH_CAP:
-        raise ResourceError(f"tree depth {depth} exceeds cap {DEPTH_CAP}")
-    return depth
+def _below(inner: FunctionExpr) -> FunctionExpr:
+    """inner, as the inner map of another node; a span member, StructuralError."""
+    if isinstance(inner, PhiCompose):
+        raise StructuralError("a span member applies at the root only")
+    return inner
 
 
 def _in_node(err: ResourceError, node: str) -> ResourceError:
@@ -363,7 +351,7 @@ def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
 
 
 def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompose:
-    """Span member after base surjection, as an expression node."""
+    """Span member after base surjection, as the root node of the tree."""
     return PhiCompose(member, base)
 
 
@@ -560,9 +548,9 @@ def expr_from_dict(data: dict) -> FunctionExpr:
     """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
     unknown or missing keys, non-finite reals, non-integer arities and
     nesting past the interpreter's recursion limit raise StructuralError,
-    an arity past ARITY_CAP or a tree deeper than DEPTH_CAP raises
-    ResourceError, and a node refuses what it refuses in a direct call (a
-    project_lift arity of 1 raises DomainError)."""
+    an arity past ARITY_CAP raises ResourceError, and a node refuses what
+    it refuses in a direct call (a node above a phi_compose raises
+    StructuralError, a project_lift arity of 1 DomainError)."""
     try:
         return _read_node(data, "tree")
     except RecursionError:

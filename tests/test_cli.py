@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -404,8 +406,9 @@ class TestCertify:
             def fail_third(expr, target, eps):
                 calls.append(target)
                 if len(calls) == 3:
-                    # two witnesses have been spooled; the report is not open yet
-                    assert spool.exists()
+                    # two witnesses have been spooled, to a spool that has no
+                    # name; the report is not open yet
+                    assert not spool.exists()
                     assert report.exists() == (earlier is not None)
                     raise ResourceError("injected")
                 return found(expr, target, eps)
@@ -834,6 +837,26 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_a_killed_certify_leaves_no_spool_and_the_earlier_report(tmp_path):
+    # SIGTERM runs no finally block, so the spool must have no name to leave
+    spec = {
+        "base": {"construct": "extend_to_line"},
+        "certify": {"box": [["-10", "10"]] * 2, "grid": 300, "epsilon": "1e-3"},
+    }
+    report = tmp_path / "r.json"
+    report.write_bytes(b"an earlier report\n")
+    argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report)]
+    with subprocess.Popen(
+        [sys.executable, "-m", "surjkit.cli", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ) as proc:
+        time.sleep(0.5)
+        proc.terminate()
+        assert proc.wait(timeout=60) == -signal.SIGTERM  # killed mid-run, not finished
+    assert list(tmp_path.glob("*.part")) == []
+    assert report.read_bytes() == b"an earlier report\n"
 
 
 def test_command_line_runs_without_numpy(tmp_path):

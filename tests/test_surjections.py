@@ -196,14 +196,6 @@ LINE = PeanoLine()
         (PhiCompose(diagonal_member(2), LINE), 1, 2),
         (PhiCompose(diagonal_member(2), ProjectLift(LINE, 4)), 4, 2),
         (PhiCompose(diagonal_member(3), ProjectLift(DimLift(LINE), 6)), 6, 2 + 1),
-        # shapes that only direct calls build, never a spec file
-        (DimLift(PhiCompose(diagonal_member(2), LINE)), 1, 2 + 1),
-        (ProjectLift(DimLift(PhiCompose(diagonal_member(2), LINE)), 2), 2, 2 + 1),
-        (
-            PhiCompose(diagonal_member(4), DimLift(PhiCompose(diagonal_member(3), DimLift(LINE)))),
-            1,
-            2 + 2,
-        ),
     ],
     ids=lambda v: v.describe() if isinstance(v, FunctionExpr) else None,
 )
@@ -242,14 +234,6 @@ class TestEvaluate:
         point = (1.9, -0.4)
         inner = evaluate_at(F, point, depth=10).value
         assert evaluate_at(pipe, point, depth=10).value == member.value_at(inner)
-
-    def test_lift_reads_a_sinh_stage_as_its_curve_parameter(self):
-        g = extend_to_line()
-        inner = compose_with_base(make_diagonal_family([1.0], 2)[0], g)
-        lifted = lift_dimension(inner)
-        for t in (0.3, 1.7, 3.7):
-            first, last = evaluate_at(inner, (t,), 20).value
-            assert evaluate_at(lifted, (t,), 20).value == (first, *evaluate_at(g, (last,), 20).value)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(StructuralError):
@@ -385,15 +369,13 @@ class TestPreimage:
         assert max(abs(v - y) for v, y in zip(value, target)) <= 1e-12
 
     def test_inversion_errors_name_the_node_that_failed(self):
-        # the sinh stage under a lift cannot reach the tolerance that the
-        # lift's pair depth asks of its inner map
-        member = make_diagonal_family([1.0], 2)[0]
-        pipe = lift_dimension(compose_with_base(member, extend_to_line()))
+        # the first coordinate's span is too flat to reach the target
+        member = VectorSpanMember(((1.0, (1e-18, 1.0)),), 2)
+        pipe = compose_with_base(member, extend_to_line())
         with pytest.raises(ResourceError, match=(
-            r"^bisection stalled at .* in the sinh stage of phi_compose coordinate 2 "
-            r"in the inner map of dim_lift$"
+            r"^bracket expansion cap reached; .* in the sinh stage of phi_compose coordinate 1$"
         )):
-            preimage(pipe, (1.0, 0.5, -0.25), 1e-9)
+            preimage(pipe, (1e6, 0.5), 1e-3)
         chain = extend_to_line()
         for _ in range(3):
             chain = lift_dimension(chain)
@@ -738,49 +720,57 @@ class TestSerialization:
             expr_from_dict({"kind": "peano_line", "padding": 1})
 
 
-# 0.5 sinh contracts near 0, so a long chain of members stays in float range
-SHRINK = VectorSpanMember(((0.25, (1.0, 1.0, 1.0)),), 3)
+def grammar_trees():
+    """Every tree the node rules admit: the line-to-plane map under 0 to 4
+    lifts, optionally projected to 2 to 6 inputs, optionally under a member."""
+    for lifts in range(5):
+        base = extend_to_line()
+        for _ in range(lifts):
+            base = lift_dimension(base)
+        for m in range(1, 7):
+            tree = project_lift(base, m)
+            yield tree
+            yield compose_with_base(diagonal_member(tree.codomain_arity), tree)
 
 
-def member_chain(depth):
-    """A lift, then members after it, up to the given tree depth; domain arity 1."""
-    tree = lift_dimension(extend_to_line())
-    while tree.tree_depth < depth:
-        tree = compose_with_base(SHRINK, tree)
-    return tree
+class TestGrammar:
+    def test_every_admitted_tree_builds_and_walks(self):
+        trees = set(grammar_trees())
+        assert len(trees) == 60
+        assert max(len(list(tree_nodes(tree))) for tree in trees) == 7
+        for tree in trees:
+            read = expr_from_dict(expr_to_dict(tree))
+            assert read == tree and hash(read) == hash(tree)
+            assert read.describe() == tree.describe()
+            point = (0.75,) + (2.0,) * (tree.domain_arity - 1)
+            value = evaluate_at(tree, point, 8).value
+            assert len(value) == tree.codomain_arity and all(map(math.isfinite, value))
+            assert evaluate_at(read, point, 8).value == value
+            # no node over an admitted tree builds one outside the set
+            n = tree.codomain_arity
+            builds = [lambda: DimLift(tree), lambda: PhiCompose(diagonal_member(n), tree)]
+            builds += [lambda m=m: ProjectLift(tree, m) for m in range(2, 7)]
+            for build in builds:
+                try:
+                    assert build() in trees
+                except (StructuralError, ResourceError):
+                    pass
 
-
-class TestDepthCap:
-    def test_a_tree_at_the_cap_builds_and_walks(self):
-        cap = surjkit.surjections.DEPTH_CAP
-        assert cap == 16
-        tree = project_lift(member_chain(cap - 1), 2)
-        assert tree.tree_depth == cap
-        assert [node.tree_depth for node in tree_nodes(tree)] == list(range(cap, 0, -1))
-        read = expr_from_dict(expr_to_dict(tree))
-        assert read == tree and hash(read) == hash(tree) and read.tree_depth == cap
-        # the depth is derived: not a field, so not in the dict or the repr
-        assert "tree_depth" not in repr(tree) and "tree_depth" not in str(expr_to_dict(tree))
-        assert tree.describe().count("0.25*Phi[1,1,1]") == cap - 3
-        value = evaluate_at(tree, (0.75, 2.0), 8).value
-        assert len(value) == 3 and all(map(math.isfinite, value))
-        assert evaluate_at(tree, (0.75, -1.0), 8) == evaluate_at(read, (0.75, 5.0), 8)
-
-    def test_one_node_deeper_is_refused_on_every_path(self):
-        top = member_chain(surjkit.surjections.DEPTH_CAP)
+    def test_a_node_above_a_member_is_refused_on_every_path(self):
+        member = diagonal_member(3)
+        top = compose_with_base(member, lift_dimension(extend_to_line()))
         data = expr_to_dict(top)
-        member = expr_to_dict(compose_with_base(SHRINK, lift_dimension(extend_to_line())))["member"]
         builds = [
-            lambda: compose_with_base(SHRINK, top),
-            lambda: PhiCompose(SHRINK, top),
+            lambda: compose_with_base(member, top),
+            lambda: PhiCompose(member, top),
             lambda: lift_dimension(top),
             lambda: DimLift(top),
             lambda: project_lift(top, 2),
             lambda: ProjectLift(top, 2),
-            lambda: expr_from_dict({"kind": "phi_compose", "member": member, "inner": data}),
+            lambda: expr_from_dict({"kind": "phi_compose", "member": data["member"], "inner": data}),
             lambda: expr_from_dict({"kind": "dim_lift", "inner": data}),
             lambda: expr_from_dict({"kind": "project_lift", "inner": data, "arity": 2}),
         ]
         for build in builds:
-            with pytest.raises(ResourceError, match="^tree depth 17 exceeds cap 16$"):
+            with pytest.raises(StructuralError, match="^a span member applies at the root only$"):
                 build()

@@ -205,10 +205,9 @@ class TestValidation:
             VectorSpanMember(((1.0, (1.0,)),), 2)
 
     def test_phi_compose_reduces_its_spans(self):
-        # the member reduces them once, when it is built; the node keeps no
-        # copy, and its one derived slot is its tree depth
+        # the member reduces them once, when it is built; the node keeps no copy
         assert make(PhiCompose).member.spans == tuple(component_reduce(MEMBER))
-        assert PhiCompose.__slots__ == PhiCompose._fields + ("tree_depth",)
+        assert PhiCompose.__slots__ == PhiCompose._fields
 
 
 @pytest.mark.parametrize("cls", CLASSES)
