@@ -9,8 +9,8 @@ certify  --spec PATH --report PATH [--budget N] [--seed S]
 Exit codes: 0 success; 1 certificate not certified or rank deficient;
 2 validation failure; 3 resource cap; 4 degenerate family member.
 `certify` spools each witness as it is found to PATH.part, unlinked once
-open, and writes the report after the last one: memory stays flat at any
-grid; a failed run leaves no report (nor changes one), and no run a spool.
+open, then writes the report there and renames it onto PATH: memory stays
+flat at any grid, and a failed run leaves no report (nor changes one).
 
 The spec file is JSON with sections `base`, `family`, `certify`, `output`;
 reals are finite decimal strings, counts are JSON integers; unknown keys
@@ -210,10 +210,10 @@ def _write_report(
     certify_surjective_on_box folds them.
 
     The bytes are json.dump(..., indent=2, sort_keys=True)'s. Each witness's
-    text goes to a spool as it arrives, and the status is folded on the
-    way; only then is path opened, for the header, the spool's copy and the
-    trailer. So no witness is kept, and a failed run leaves path as it was.
-    The spool, path + ".part", is unlinked once open: no run leaves it.
+    text goes to a spool, path + ".part" unlinked once open, and the status
+    is folded on the way; then that name takes the header, the spool's copy
+    and the trailer, and replaces path: no witness is kept, and a failed run
+    leaves path as it was (a kill mid-copy leaves path + ".part" beside it).
 
     Every value is a string, int, bool or null; the reals are written by
     format_real and exact_string, which need no escaping. A witness's lists
@@ -259,22 +259,28 @@ def _write_report(
         spool.seek(0)
         bounds = [[format_real(lo), format_real(hi)] for lo, hi in box.bounds]
         shown = None if worst is None else [format_real(x) for x in worst]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                '{\n  "certificate": {\n'
-                f'    "box": {_block({"bounds": bounds, "grid_points": box.grid_points}, 2)},\n'
-                f'    "epsilon": "{format_real(epsilon)}",\n'
-                f'    "function": {encode_basestring_ascii(function_id)},\n'
-                f'    "status": {encode_basestring_ascii(status)},\n'
-                '    "witnesses": ['
-            )
-            while chunk := spool.read(1 << 16):
-                fh.write(chunk)
-            fh.write(
-                f',\n    "worst_target": {_block(shown, 2)}\n  }},\n'
-                f'  "independence": {_block(independence, 1)},\n'
-                f'  "settings": {_block(settings, 1)}\n}}\n'
-            )
+        fh = open(part, "w", encoding="utf-8")  # the spool's name is free again
+        try:
+            with fh:
+                fh.write(
+                    '{\n  "certificate": {\n'
+                    f'    "box": {_block({"bounds": bounds, "grid_points": box.grid_points}, 2)},\n'
+                    f'    "epsilon": "{format_real(epsilon)}",\n'
+                    f'    "function": {encode_basestring_ascii(function_id)},\n'
+                    f'    "status": {encode_basestring_ascii(status)},\n'
+                    '    "witnesses": ['
+                )
+                while chunk := spool.read(1 << 16):
+                    fh.write(chunk)
+                fh.write(
+                    f',\n    "worst_target": {_block(shown, 2)}\n  }},\n'
+                    f'  "independence": {_block(independence, 1)},\n'
+                    f'  "settings": {_block(settings, 1)}\n}}\n'
+                )
+            os.replace(part, path)
+        except BaseException:
+            os.remove(part)
+            raise
     return status, worst
 
 

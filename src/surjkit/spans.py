@@ -19,7 +19,6 @@ from .errors import DomainError, NoSolutionError, ResourceError
 # the largest arity a member, or a tree node's domain or codomain, accepts
 ARITY_CAP = 6
 BRACKET_CAP = 2.0**60
-_NEWTON_STEPS = 8
 
 
 def phi_eval(r: float, t: float) -> float:
@@ -97,13 +96,6 @@ class ScalarSpan(Value):
                 return math.inf
         return total
 
-    def _slope(self, t: float) -> float:
-        """The exact derivative sum(alpha * r * 2cosh(r t)); overflow reads as nan."""
-        try:
-            return sum(alpha * r * 2.0 * math.cosh(r * t) for alpha, r in self.terms)
-        except OverflowError:
-            return math.nan
-
     def scaled(self, factor: float) -> "ScalarSpan":
         return make_scalar_span([(factor * a, r) for a, r in self.terms])
 
@@ -165,67 +157,46 @@ def classify_asymptotics(s: ScalarSpan) -> Asymptotics:
 
 
 def scalar_solve(s: ScalarSpan, y: float, tol: float) -> float:
-    """Some t with |s(t) - y| <= tol: Newton from the leading term's inverse,
-    falling back to asymptotics-guided bracketing and bisection when an
-    iterate leaves the bracket cap, a value or slope is not finite, or the
-    steps do not converge (Press et al., Numerical Recipes, section 9.4)."""
+    """Some t with |s(t) - y| <= tol (0.0 if |y| <= tol), by bisection of [0, end].
+
+    A nonzero span vanishes at 0 and runs to opposite infinities, so s - y
+    changes sign between 0 and some end. That end starts at min(1, |2y / s'(0)|)
+    and alternates sides and doubles (+e, -e, +2e, -2e, ...) until s - y there
+    has the sign of y (Press et al., Numerical Recipes, section 9.1)."""
     if not tol > 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if not math.isfinite(y):
         raise DomainError(f"target must be finite, got {y}")
     if s.is_zero:
         raise NoSolutionError("cannot solve against the zero span")
-    alpha1, r1 = s.leading
-    t = math.asinh(y / (2.0 * alpha1)) / r1
-    for _ in range(_NEWTON_STEPS):
-        if not abs(t) <= BRACKET_CAP:
-            break
-        f = s.value(t) - y
-        if abs(f) <= tol:
-            return t
-        slope = s._slope(t)
-        if not (math.isfinite(f) and math.isfinite(slope) and slope):
-            break
-        t -= f / slope
-
-    positive_side = math.copysign(1.0, alpha1)
-
-    def residual(t: float) -> float:
-        v = s.value(t)
-        if math.isinf(v):
-            return v
-        return v - y
-
-    # grow T until s(+-T) - y straddles zero; overflow reads as the limit
-    span = 1.0
-    while True:
-        hi_t = positive_side * span
-        lo_t = -positive_side * span
-        if residual(hi_t) >= 0.0 and residual(lo_t) <= 0.0:
-            lo, hi = (lo_t, hi_t) if lo_t < hi_t else (hi_t, lo_t)
-            break
-        span *= 2.0
-        if span > BRACKET_CAP:
+    if abs(y) <= tol:
+        return 0.0
+    slope = 2.0 * sum(alpha * r for alpha, r in s.terms)  # s'(0)
+    end = abs(2.0 * y / slope) if slope else 1.0
+    end = min(1.0, end) if end > 0.0 else 1.0  # also for nan
+    sign = math.copysign(1.0, y)
+    while (s.value(end) - y) * sign < 0.0:
+        end = -end if end > 0.0 else -2.0 * end
+        if abs(end) > BRACKET_CAP:
             raise ResourceError("bracket expansion cap reached; check tolerance and span")
 
-    f_lo = residual(lo)
-    best_t, best_res = (lo, abs(f_lo)) if not math.isinf(f_lo) else (hi, abs(residual(hi)))
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # adjacent floats: no further progress possible
-        f_mid = residual(mid)
-        if abs(f_mid) <= tol:
+    near, far = 0.0, end  # s - y has the sign of -y at near, of y at far
+    best_t, best_res = near, abs(y)
+    while True:
+        mid = 0.5 * (near + far)
+        if mid == near or mid == far:
+            raise ResourceError(
+                f"bisection stalled at residual {best_res:.3g} (tol {tol:.3g}) near t={best_t!r}"
+            )
+        f = s.value(mid) - y
+        if abs(f) <= tol:
             return mid
-        if abs(f_mid) < best_res:
-            best_t, best_res = mid, abs(f_mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
+        if abs(f) < best_res:
+            best_t, best_res = mid, abs(f)
+        if f * sign < 0.0:
+            near = mid
         else:
-            hi = mid
-    raise ResourceError(
-        f"bisection stalled at residual {best_res:.3g} (tol {tol:.3g}) near t={best_t!r}"
-    )
+            far = mid
 
 
 class VectorSpanMember(Value):

@@ -294,10 +294,7 @@ def _in_node(err: ResourceError, node: str) -> ResourceError:
 
 
 # Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
-# a cached result equals what a fresh call computes, up to the sign of a zero
-# root. The exact stages below the sinh stage do not read that sign; a bare
-# member's certificate, whose witness is the root itself, can show it only
-# after a solve at y = -0.0, which no box grid target is.
+# a cached result equals what a fresh call computes.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
     """The sinh stage for one coordinate: a root u of span = y within tol, and

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import surjkit.certify
+import surjkit.cli
 import surjkit.spans
 import surjkit.surjections
 from surjkit import (
@@ -424,6 +425,60 @@ class TestCertify:
         if failure != "degenerate":
             assert len(calls) == 3
             assert "target (-100.25, -49.5): injected" in capsys.readouterr().err
+
+    def test_a_failed_copy_leaves_the_earlier_report(self, tmp_path, capsys, monkeypatch):
+        # the report is written beside path and replaced onto it: an error
+        # in the spool's copy (the third write, after the header and the
+        # first 64 KiB) must leave the earlier report, and no .part
+        report = tmp_path / "r.json"
+        report.write_bytes(b"an earlier report\n")
+
+        class FailingWrites:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("injected write failure")
+                return self.fh.write(text)
+
+        def report_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            return FailingWrites(fh) if mode == "w" else fh
+
+        monkeypatch.setattr(surjkit.cli, "open", report_open, raising=False)
+        spec = {
+            "base": {"construct": "extend_to_line"},
+            "certify": {"box": [["-10", "10"]] * 2, "grid": 20, "epsilon": "1e-3"},
+        }
+        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "injected write failure" in capsys.readouterr().err
+        assert report.read_bytes() == b"an earlier report\n"
+        assert list(tmp_path.glob("*.part")) == []
+
+    def test_a_non_monotone_family_certifies(self, tmp_path, capsys):
+        # each coordinate span is 1.092 phi_2.588 - 0.635 phi_4.304 + 0.195
+        # phi_4.365, whose value -3 has a gentle root in (0, 1) and a root
+        # near -19.4 too steep for floats
+        spec = {
+            "base": {"construct": "extend_to_line", "project_to": 3},
+            "family": {
+                "diagonal_exponents": ["2.588", "4.304", "4.365"],
+                "coefficients": ["1.092", "-0.635", "0.195"],
+            },
+            "certify": {"box": [["-3", "3"], ["-3", "3"]], "grid": 2, "epsilon": "1e-3"},
+        }
+        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(tmp_path / "r")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == "status certified\nrank 3/3\n"
 
     def test_certify_memory_does_not_grow_with_the_grid(self, tmp_path):
         # witnesses are spooled as they are found and the grid is walked,

@@ -4,9 +4,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-import surjkit.spans
 from surjkit import (
     DomainError,
     NoSolutionError,
@@ -19,13 +18,14 @@ from surjkit import (
     phi_eval,
     phi_inverse,
     scalar_solve,
-    ScalarSpan,
     VectorSpanMember,
 )
 from oracles import bisect_solve
 
 # e - 1/e to 40 digits: 2.350402387287602913764763701191201630311
 PHI_1_AT_1 = 2.3504023872876029
+# non-monotone: s = -3 has a gentle root in (0, 1) and a steep one near -19.4
+GENTLE_ROOT_SPAN = [(1.092, 2.588), (-0.635, 4.304), (0.195, 4.365)]
 
 
 class TestPhi:
@@ -196,6 +196,13 @@ class TestScalarSolve:
         with pytest.raises(ResourceError):
             scalar_solve(make_scalar_span([(1.0, 1e-18)]), 1e6, 1e-6)
 
+    def test_stalled_bisection_names_its_best_midpoint(self):
+        # at the root t ~ 18.42 of 2 sinh(t) = 1e8, adjacent floats differ in
+        # value by about 3e-7, far above the tolerance
+        with pytest.raises(ResourceError, match=r"^bisection stalled at residual 1\.64e-07 "
+                           r"\(tol 1e-12\) near t=18\.4206807"):
+            scalar_solve(make_scalar_span([(1.0, 1.0)]), 1e8, 1e-12)
+
     def test_round_trip_random(self):
         # well-separated exponents and modest coefficient ratios keep the
         # float64 residual quantum at steep crossings far below the tolerance
@@ -218,39 +225,45 @@ class TestScalarSolve:
             assert s.value(t_oracle) == pytest.approx(y, abs=1e-10)
             assert s.value(t) == pytest.approx(y, abs=1e-10)
 
-    def test_newton_needs_few_span_evaluations(self, monkeypatch):
-        calls = []
-        value = ScalarSpan.value
-
-        def counting_value(self, t):
-            calls.append(t)
-            return value(self, t)
-
-        monkeypatch.setattr(ScalarSpan, "value", counting_value)
-        s = make_scalar_span([(1.0, 1.0), (-1.0, 2.0)])
-        rng = random.Random(11)
-        solves = 4000
-        for _ in range(solves):
-            y = rng.uniform(-10.0, 10.0)
-            t = scalar_solve(s, y, 5e-4)
-            assert abs(value(s, t) - y) <= 5e-4
-        # plain bisection needs about 18.6 evaluations per solve here
-        assert len(calls) < 5 * solves
-
     @pytest.mark.parametrize("y", [1.0, 2.0, 3.0])
-    def test_non_monotone_span_solves_through_the_fallback(self, monkeypatch, y):
-        calls = []
-        value = ScalarSpan.value
-
-        def counting_value(self, t):
-            calls.append(t)
-            return value(self, t)
-
-        monkeypatch.setattr(ScalarSpan, "value", counting_value)
+    def test_non_monotone_span_solves(self, y):
         s = make_scalar_span([(1.0, 2.0), (-3.0, 1.0)])  # phi_2 - 3 phi_1
         t = scalar_solve(s, y, 1e-9)
-        assert abs(value(s, t) - y) <= 1e-9
-        assert len(calls) > surjkit.spans._NEWTON_STEPS  # Newton gave up, bisection solved
+        assert abs(s.value(t) - y) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [2.5e-4, 2.5e-7])
+    def test_non_monotone_span_finds_its_gentle_root(self, tol):
+        # s(0) = 0 and s(1) ~ -17.2, so a root of s = -3 lies in (0, 1); the
+        # other one, near t = -19.4, is too steep for floats to reach tol
+        s = make_scalar_span(GENTLE_ROOT_SPAN)
+        assert s.value(1.0) == pytest.approx(-17.2, abs=0.05)
+        t = scalar_solve(s, -3.0, tol)
+        assert 0.0 < t < 1.0
+        assert abs(s.value(t) + 3.0) <= tol
+
+
+# 1-4 distinct exponents in [0.1, 5] with coefficients of either sign and
+# size in [0.1, 3]: the spans the paper's diagonal families reduce to
+paper_class_terms = st.lists(
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.1, 3.0), st.floats(0.1, 5.0)),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda term: term[2],
+).map(lambda terms: [(sign * alpha, r) for sign, alpha, r in terms])
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@example(terms=GENTLE_ROOT_SPAN, y=-3.0, tol=2.5e-4)
+@example(terms=GENTLE_ROOT_SPAN, y=-3.0, tol=2.5e-7)
+@given(
+    terms=paper_class_terms,
+    y=st.floats(-10.0, 10.0),
+    tol=st.sampled_from([2.5e-4, 2.5e-7, 2.5e-10]),
+)
+def test_every_paper_class_span_solves(terms, y, tol):
+    s = make_scalar_span(terms)
+    t = scalar_solve(s, y, tol)
+    assert abs(s.value(t) - y) <= tol
 
 
 class TestVectorMembers:
