@@ -29,7 +29,8 @@ print("\nF arity:", F.domain_arity, "->", F.codomain_arity)
 print("F(1.7, 99) =", evaluate_at(F, (1.7, 99.0), 10).value)
 print("F(1.7, -5) =", evaluate_at(F, (1.7, -5.0), 10).value, "(same: x2 is invisible)")
 
-# Every tree serializes to a declarative form.
+# Every tree writes out as the base and family sections of a spec file,
+# which `surjkit eval --spec` reads back as the same tree.
 print("\ntree:", expr_to_dict(F))
 
 # Step 3: invert. The returned coordinates are exact rationals; a composed

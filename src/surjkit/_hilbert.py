@@ -18,6 +18,7 @@ from typing import Iterator
 from .errors import DomainError, ResourceError
 
 DEFAULT_DEPTH_CAP = 12
+EVAL_DEPTH_CAP = 4096  # the deepest codec or evaluation depth: a walk costs depth squared
 
 # The quadrant rule: digit q of the depth-1 walk visits the quadrant with
 # bits _QUADRANT[q] and runs its sub-curve under the transform _CHILD[q].
@@ -66,12 +67,15 @@ _RUN_Y = tuple(tuple(e >> 2 & 15 for e in _FWD[s << 8 : (s + 1) << 8]) for s in 
 
 
 def _check_depth(k, least: int = 0) -> None:
-    """Refuse a depth that is not an int (a bool included) or is below least."""
+    """Refuse a depth that is not an int (a bool included) or is below least,
+    with DomainError, and one past EVAL_DEPTH_CAP with ResourceError."""
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"depth must be an integer, got {k!r}")
     if k < least:
         bound = f"at least {least}" if least else "non-negative"
         raise DomainError(f"depth must be {bound}")
+    if k > EVAL_DEPTH_CAP:
+        raise ResourceError(f"depth {k} exceeds cap {EVAL_DEPTH_CAP}")
 
 
 def _d2xy(k: int, d: int) -> tuple[int, int]:

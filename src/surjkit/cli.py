@@ -96,53 +96,11 @@ class SpecFile(Value):
 def parse_spec_data(data: dict) -> SpecFile:
     """The spec's pipeline; a malformed spec raises StructuralError, or
     DomainError for a value its constructor refuses."""
-    from .surjections import (
-        _check_keys, _integer, _list, _real, _terms,
-        compose_with_base, extend_to_line, lift_dimension, project_lift,
-    )
+    from .surjections import _check_keys, _integer, _list, _read_pipeline, _real
 
     _check_keys(data, {"base", "family", "certify", "output"}, {"base"}, "spec")
-
-    base = data["base"]
-    _check_keys(base, {"construct", "lifts", "project_to"}, {"construct"}, "base")
-    if base["construct"] != "extend_to_line":
-        raise StructuralError(f"unknown base construct {base['construct']!r}")
-    lifts = _integer(base.get("lifts", 0), "base.lifts")
-    project_to = _integer(base.get("project_to", 1), "base.project_to")
-    if lifts < 0:
-        raise StructuralError("base.lifts must be non-negative")
-    pipeline: FunctionExpr = extend_to_line()
-    for _ in range(lifts):
-        pipeline = lift_dimension(pipeline)
-    pipeline = project_lift(pipeline, project_to)
+    pipeline, members = _read_pipeline(data)
     codomain = pipeline.codomain_arity
-
-    members: tuple[VectorSpanMember, ...] = ()
-    if "family" in data:
-        from .spans import VectorSpanMember, combine_members, make_diagonal_family
-
-        family = data["family"]
-        _check_keys(
-            family, {"diagonal_exponents", "coefficients", "terms"}, set(), "family"
-        )
-        if "terms" in family:
-            if "diagonal_exponents" in family or "coefficients" in family:
-                raise StructuralError("family takes either explicit terms or a diagonal basis")
-            member = VectorSpanMember(_terms(family["terms"], codomain, "family.terms"), codomain)
-        elif "diagonal_exponents" in family:
-            where = "family.diagonal_exponents"
-            exps = [_real(r, where) for r in _list(family["diagonal_exponents"], where)]
-            members = tuple(make_diagonal_family(exps, codomain))
-            raw = _list(family.get("coefficients", ["1"] * len(exps)), "family.coefficients")
-            coefficients = tuple(_real(c, "family.coefficients") for c in raw)
-            if len(coefficients) != len(members):
-                raise StructuralError(
-                    "family.coefficients must match diagonal_exponents in length"
-                )
-            member = combine_members(coefficients, members)
-        else:
-            raise StructuralError("family needs diagonal_exponents or terms")
-        pipeline = compose_with_base(member, pipeline)
 
     box = None
     epsilon = None

@@ -110,7 +110,8 @@ def hilbert_encode(t: RealLike, k: int) -> tuple[CellAddress, PlanePoint]:
     """Depth-k cell visited at parameter t, and its center.
 
     The cell is the one whose quarter interval [i/4^k, (i+1)/4^k) contains
-    t; t = 1 maps to the final cell. Deterministic and exact.
+    t; t = 1 maps to the final cell. Deterministic and exact; a depth past
+    the cap of 4096 raises ResourceError.
     """
     _check_depth(k)
     if isinstance(t, CurveParam):
@@ -128,7 +129,8 @@ def hilbert_decode(p: PlanePoint | tuple, k: int) -> CurveParam:
     """A parameter whose depth-k cell contains p.
 
     Round trip: hilbert_encode(hilbert_decode(p, k), k) yields the cell
-    containing p (lower-left tie break on boundaries).
+    containing p (lower-left tie break on boundaries). A depth past the cap
+    of 4096 raises ResourceError.
     """
     _check_depth(k)
     x, y = (p.x, p.y) if isinstance(p, PlanePoint) else p

@@ -108,6 +108,19 @@ class ScalarSpan(Value):
         return " + ".join(f"{a:g}*phi[{r:g}]" for a, r in self.terms)
 
 
+def _normalized(pairs: Iterable[tuple], name: str) -> tuple:
+    """The (coefficient, exponent) pairs, equal exponents merged, zero
+    coefficients dropped, exponents descending. A merged coefficient that is
+    not finite raises DomainError, which calls its exponent name."""
+    merged: dict = {}
+    for alpha, r in pairs:
+        alpha = merged.get(r, 0.0) + float(alpha)
+        if not math.isfinite(alpha):
+            raise DomainError(f"coefficient {alpha} of {name} {r} is not finite")
+        merged[r] = alpha
+    return tuple((alpha, r) for r, alpha in sorted(merged.items(), reverse=True) if alpha != 0.0)
+
+
 def make_scalar_span(pairs: Iterable[tuple[float, float]]) -> ScalarSpan:
     """Merge equal exponents, drop zero coefficients, sort descending by exponent.
 
@@ -115,19 +128,13 @@ def make_scalar_span(pairs: Iterable[tuple[float, float]]) -> ScalarSpan:
     exponents are distinct terms and must be merged by the caller. A merged
     coefficient or an exponent that is not finite raises DomainError.
     """
-    merged: dict[float, float] = {}
-    for alpha, r in pairs:
+    def exponent(r) -> float:
         r = float(r)
         if not 0 < r < math.inf:
             raise DomainError(f"exponent must be positive and finite, got {r}")
-        alpha = merged.get(r, 0.0) + float(alpha)
-        if not math.isfinite(alpha):
-            raise DomainError(f"coefficient {alpha} of exponent {r} is not finite")
-        merged[r] = alpha
-    terms = tuple(
-        (alpha, r) for r, alpha in sorted(merged.items(), reverse=True) if alpha != 0.0
-    )
-    return ScalarSpan(terms)
+        return r
+
+    return ScalarSpan(_normalized(((a, exponent(r)) for a, r in pairs), "exponent"))
 
 
 class Asymptotics(Value):
@@ -219,8 +226,8 @@ class VectorSpanMember(Value):
             raise DomainError(f"arity must be an integer >= 1, got {arity!r}")
         if arity > ARITY_CAP:
             raise ResourceError(f"member arity {arity} exceeds cap {ARITY_CAP}")
-        merged: dict[tuple[float, ...], float] = {}
-        for lam, rvec in terms:
+
+        def exponents(rvec) -> tuple[float, ...]:
             rvec = tuple(float(r) for r in rvec)
             if len(rvec) != arity:
                 raise DomainError(
@@ -228,14 +235,10 @@ class VectorSpanMember(Value):
                 )
             if not all([0 < r < math.inf for r in rvec]):
                 raise DomainError(f"exponent vector {rvec} must be finite and strictly positive")
-            lam = merged.get(rvec, 0.0) + float(lam)
-            if not math.isfinite(lam):
-                raise DomainError(f"coefficient {lam} of exponent vector {rvec} is not finite")
-            merged[rvec] = lam
-        normalized = tuple(
-            (lam, rvec) for rvec, lam in sorted(merged.items(), reverse=True) if lam != 0.0
-        )
-        set_field(self, "terms", normalized)
+            return rvec
+
+        checked = ((lam, exponents(rvec)) for lam, rvec in terms)
+        set_field(self, "terms", _normalized(checked, "exponent vector"))
         set_field(self, "arity", arity)
         set_field(self, "spans", tuple(component_reduce(self)))
 

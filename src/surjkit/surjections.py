@@ -20,7 +20,8 @@ evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
 rational parameter coordinates (floats cannot carry the depth a composed
 curve chain needs), and checks each witness by evaluating the limit map
-exactly at it.
+exactly at it. expr_to_dict writes a tree as a CLI spec's base and family
+sections, and expr_from_dict reads them back with the spec reader.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._hilbert import EVAL_DEPTH_CAP
 from ._value import Value, set_field
 from .curve import _cell, _check_depth, _d2xy, _ratio, _xy2d
 from .errors import (
@@ -41,7 +43,6 @@ from .errors import (
 )
 from .spans import ARITY_CAP, ScalarSpan, VectorSpanMember, detect_degenerate, scalar_solve
 
-EVAL_DEPTH_CAP = 4096
 DEFAULT_EVAL_DEPTH = 12
 # entries per inversion memo: a product grid repeats each axis value, and
 # the sinh stage and a lift's pair read one or two coordinates of a target
@@ -52,11 +53,9 @@ Real = Union[int, float, Fraction]
 
 class FunctionExpr(Value):
     """Base of the immutable expression tree; nodes are value types, equal
-    exactly when they are the same kind of node with equal fields. A node's
-    kind names it in the dict form, and its _fields are the dict's keys."""
+    exactly when they are the same kind of node with equal fields."""
 
     __slots__ = ()
-    kind: str
 
     # a node has its inner map's arities unless it changes one
     @property
@@ -86,7 +85,6 @@ class PeanoLine(FunctionExpr):
     """The line-to-plane surjection; domain arity 1, codomain arity 2."""
 
     __slots__ = ()
-    kind = "peano_line"
     domain_arity = 1
     codomain_arity = 2
 
@@ -161,7 +159,6 @@ class DimLift(FunctionExpr):
 
     __slots__ = _fields = ("inner",)
     inner: FunctionExpr
-    kind = "dim_lift"
 
     def __init__(self, inner: FunctionExpr):
         if inner.domain_arity != 1:
@@ -206,7 +203,6 @@ class ProjectLift(FunctionExpr):
     __slots__ = _fields = ("inner", "arity")
     inner: FunctionExpr
     arity: int
-    kind = "project_lift"
 
     def __init__(self, inner: FunctionExpr, arity: int):
         if inner.domain_arity != 1:
@@ -242,7 +238,6 @@ class PhiCompose(FunctionExpr):
     __slots__ = _fields = ("member", "inner")
     member: VectorSpanMember
     inner: FunctionExpr
-    kind = "phi_compose"
 
     def __init__(self, member: VectorSpanMember, inner: FunctionExpr):
         if member.arity != inner.codomain_arity:
@@ -367,8 +362,6 @@ def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_
     point = tuple(point)
     if len(point) != expr.domain_arity:
         raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
-    if depth > EVAL_DEPTH_CAP:
-        raise ResourceError(f"depth {depth} exceeds cap {EVAL_DEPTH_CAP}")
     value, est = expr._eval(tuple(map(_ratio, point)), depth)
     return EvalResult(tuple(p / q for p, q in value), est)
 
@@ -441,7 +434,7 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# reading outside JSON: the CLI spec and the tree dicts share these readers
+# reading outside JSON: the spec reader, which reads CLI specs and tree dicts
 
 
 def _check_keys(data, allowed: set, required: set, where: str) -> None:
@@ -493,62 +486,66 @@ def _terms(value, arity: int, where: str) -> tuple:
     return tuple(terms)
 
 
-def _member(data, where: str) -> VectorSpanMember:
-    _check_keys(data, {"arity", "terms"}, {"arity", "terms"}, where)
-    arity = _integer(data["arity"], f"{where}.arity")
-    return VectorSpanMember(_terms(data["terms"], arity, f"{where}.terms"), arity)
+def _read_pipeline(data: dict) -> tuple[FunctionExpr, tuple[VectorSpanMember, ...]]:
+    """The tree of a spec's base and family sections, and the diagonal basis
+    members its family combines (none for explicit terms)."""
+    base = data["base"]
+    _check_keys(base, {"construct", "lifts", "project_to"}, {"construct"}, "base")
+    if base["construct"] != "extend_to_line":
+        raise StructuralError(f"unknown base construct {base['construct']!r}")
+    lifts = _integer(base.get("lifts", 0), "base.lifts")
+    project_to = _integer(base.get("project_to", 1), "base.project_to")
+    if lifts < 0:
+        raise StructuralError("base.lifts must be non-negative")
+    pipeline: FunctionExpr = extend_to_line()
+    for _ in range(lifts):
+        pipeline = lift_dimension(pipeline)
+    pipeline = project_lift(pipeline, project_to)
+    if "family" not in data:
+        return pipeline, ()
 
+    codomain = pipeline.codomain_arity
+    family = data["family"]
+    _check_keys(family, {"diagonal_exponents", "coefficients", "terms"}, set(), "family")
+    if "terms" in family:
+        if "diagonal_exponents" in family or "coefficients" in family:
+            raise StructuralError("family takes either explicit terms or a diagonal basis")
+        member = VectorSpanMember(_terms(family["terms"], codomain, "family.terms"), codomain)
+        return compose_with_base(member, pipeline), ()
+    if "diagonal_exponents" not in family:
+        raise StructuralError("family needs diagonal_exponents or terms")
+    # looked up per call: a test replaces make_diagonal_family to see that none is built
+    from .spans import combine_members, make_diagonal_family
 
-_KINDS = {cls.kind: cls for cls in (PeanoLine, DimLift, ProjectLift, PhiCompose)}
-_ARITIES = ("domain_arity", "codomain_arity")
-
-
-def _node_dict(expr: FunctionExpr) -> dict:
-    data = {"kind": expr.kind}
-    for name in expr._fields:
-        value = getattr(expr, name)
-        if name == "inner":
-            value = _node_dict(value)
-        elif name == "member":
-            value = {"arity": value.arity, "terms": [
-                {"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
-                for lam, rvec in value.terms
-            ]}
-        data[name] = value
-    return data
-
-
-def _read_node(data, where: str) -> FunctionExpr:
-    if not isinstance(data, dict):
-        raise StructuralError(f"section '{where}' must be an object")
-    kind = data.get("kind")
-    cls = _KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise StructuralError(f"unknown kind {kind!r} in section '{where}'")
-    _check_keys(data, {"kind", *cls._fields, *_ARITIES}, {"kind", *cls._fields}, where)
-    expr = cls(*[_FIELD_READERS[name](data[name], f"{where}.{name}") for name in cls._fields])
-    for name in _ARITIES:
-        if name in data and _integer(data[name], f"{where}.{name}") != getattr(expr, name):
-            raise StructuralError(f"declared {name} {data[name]} does not match the tree")
-    return expr
-
-
-_FIELD_READERS = {"inner": _read_node, "member": _member, "arity": _integer}
+    where = "family.diagonal_exponents"
+    exps = [_real(r, where) for r in _list(family["diagonal_exponents"], where)]
+    members = tuple(make_diagonal_family(exps, codomain))
+    raw = _list(family.get("coefficients", ["1"] * len(exps)), "family.coefficients")
+    coefficients = tuple(_real(c, "family.coefficients") for c in raw)
+    if len(coefficients) != len(members):
+        raise StructuralError("family.coefficients must match diagonal_exponents in length")
+    return compose_with_base(combine_members(coefficients, members), pipeline), members
 
 
 def expr_to_dict(expr: FunctionExpr) -> dict:
-    """Stable declarative form: node kind, arities, children, span parameters."""
-    return {**_node_dict(expr), **{name: getattr(expr, name) for name in _ARITIES}}
+    """The tree as the base and family sections of a CLI spec: the line-to-plane
+    map under base.lifts dimension lifts, projected to base.project_to inputs,
+    and a root span member as explicit family.terms."""
+    terms = None
+    if isinstance(expr, PhiCompose):
+        terms = [{"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
+                 for lam, rvec in expr.member.terms]
+        expr = expr.inner
+    # the grammar fixes the rest: each lift adds one output, a projection sets the inputs
+    base = {"construct": "extend_to_line", "lifts": expr.codomain_arity - 2,
+            "project_to": expr.domain_arity}
+    return {"base": base} if terms is None else {"base": base, "family": {"terms": terms}}
 
 
 def expr_from_dict(data: dict) -> FunctionExpr:
-    """The tree of expr_to_dict's form, read by the same rules as a CLI spec:
-    unknown or missing keys, non-finite reals, non-integer arities and
-    nesting past the interpreter's recursion limit raise StructuralError,
-    an arity past ARITY_CAP raises ResourceError, and a node refuses what
-    it refuses in a direct call (a node above a phi_compose raises
-    StructuralError, a project_lift arity of 1 DomainError)."""
-    try:
-        return _read_node(data, "tree")
-    except RecursionError:
-        raise StructuralError("tree nested too deep to read") from None
+    """The tree of expr_to_dict's form, by the CLI spec reader: a malformed
+    section, key or value raises StructuralError naming its path
+    (family.terms.exponents), a count past ARITY_CAP ResourceError, and a
+    value a constructor refuses DomainError (a project_to of 0, say)."""
+    _check_keys(data, {"base", "family"}, {"base"}, "tree")
+    return _read_pipeline(data)[0]

@@ -257,6 +257,16 @@ class TestEval:
         assert main(["eval", "--spec", spec, "--point", "1.25,-4,0.5"]) == EXIT_OK
         assert capsys.readouterr().out == first
 
+    def test_a_tree_dict_is_a_spec(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, README_SPEC)
+        data = surjkit.surjections.expr_to_dict(parse_spec_file(spec).pipeline)
+        tree = write_spec(tmp_path, data, "tree.json")
+        outputs = []
+        for path in (spec, tree):
+            assert main(["eval", "--spec", path, "--point", "1.5,-2"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_malformed_spec_exits_2_with_line_anchor(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"base": {\n  "construct": }\n')

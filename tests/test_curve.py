@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import surjkit.curve
+import surjkit.surjections
 from surjkit import (
     CurveParam,
     DomainError,
@@ -21,7 +23,8 @@ from surjkit import (
     hilbert_encode,
     modulus_bound,
 )
-from surjkit.curve import _d2xy, _ratio, _xy2d
+from surjkit.curve import _d2xy, _ratio, _trace_blocks, _xy2d
+from surjkit.surjections import EVAL_DEPTH_CAP
 from oracles import recursion_trace
 
 # depth-1 traversal expanded by hand: lower-left, upper-left, upper-right,
@@ -223,6 +226,28 @@ DEPTH_TAKERS = {
 def test_a_depth_that_is_not_a_natural_number_is_a_domain_error(call, depth):
     with pytest.raises(DomainError, match="depth must be"):
         DEPTH_TAKERS[call](depth)
+
+
+@pytest.mark.parametrize("call", ["evaluate_at", "hilbert_encode", "hilbert_decode"])
+def test_a_depth_past_the_cap_is_refused_before_any_walk(call, monkeypatch):
+    # a walk costs the square of the depth: 14.8 s for hilbert_encode at 10**6
+    DEPTH_TAKERS[call](EVAL_DEPTH_CAP)
+
+    def refuse(*args):
+        raise AssertionError("the codec ran")
+
+    for name in ("_d2xy", "_xy2d"):
+        monkeypatch.setattr(surjkit.curve, name, refuse)
+        monkeypatch.setattr(surjkit.surjections, name, refuse)
+    for depth in (EVAL_DEPTH_CAP + 1, 10**6):
+        with pytest.raises(ResourceError, match=f"^depth {depth} exceeds cap 4096$"):
+            DEPTH_TAKERS[call](depth)
+
+
+def test_a_trace_past_the_cap_is_refused_whatever_its_own_cap():
+    # checked on the call, before the lazy walk makes a block
+    with pytest.raises(ResourceError, match="^depth 4097 exceeds cap 4096$"):
+        _trace_blocks(EVAL_DEPTH_CAP + 1, depth_cap=10**6)
 
 
 class TestModulus:

@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 import surjkit.spans
-import surjkit.surjections
 from surjkit import (
     DimLift,
     DomainError,
@@ -34,6 +32,7 @@ from surjkit import (
     preimage,
     project_lift,
 )
+from surjkit.cli import parse_spec_data
 from surjkit.curve import _d2xy, _ratio
 from oracles import covered_targets, line_map_points, recursion_centers, sweep_plane_cloud
 
@@ -148,13 +147,10 @@ class TestProjectLift:
 
     def test_arity_one_node_is_refused(self):
         # the identity projection is never a node, so projections cannot nest
-        data = {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 1}
         for build in (
             lambda: ProjectLift(PeanoLine(), 1),
             lambda: DimLift(ProjectLift(PeanoLine(), 1)),
             lambda: project_lift(extend_to_line(), True),
-            lambda: expr_from_dict(data),
-            lambda: expr_from_dict({"kind": "dim_lift", "inner": data}),
         ):
             with pytest.raises(DomainError, match=r"^target domain arity must be an integer >= 2"):
                 build()
@@ -598,16 +594,55 @@ def tree_nodes(expr):
         yield from tree_nodes(expr.inner)
 
 
-def phi_tree(coefficient="1.0", exponent="2.0", arity=2):
+def phi_tree(coefficient="1.0", exponent="2.0", lifts=0, project_to=1):
     """The dict of a one-term member after the line-to-plane map, with one field replaced."""
     return {
-        "kind": "phi_compose",
-        "member": {
-            "arity": arity,
-            "terms": [{"coefficient": coefficient, "exponents": ["1.0", exponent]}],
-        },
-        "inner": {"kind": "peano_line"},
+        "base": {"construct": "extend_to_line", "lifts": lifts, "project_to": project_to},
+        "family": {"terms": [{"coefficient": coefficient, "exponents": ["1.0", exponent]}]},
     }
+
+
+def real_error(path, value):
+    return rf"^expected a finite decimal string in '{path}', got {value!r}$"
+
+
+def integer_error(path, value):
+    return rf"^expected an integer in '{path}', got {value!r}$"
+
+
+MALFORMED_TREES = [  # a tree dict and the message it must raise
+    (phi_tree(coefficient="nan"), real_error("family.terms.coefficient", "nan")),
+    (phi_tree(coefficient="inf"), real_error("family.terms.coefficient", "inf")),
+    (phi_tree(coefficient="-inf"), real_error("family.terms.coefficient", "-inf")),
+    (phi_tree(coefficient=True), real_error("family.terms.coefficient", True)),
+    (phi_tree(exponent="nan"), real_error("family.terms.exponents", "nan")),
+    (phi_tree(exponent="inf"), real_error("family.terms.exponents", "inf")),
+    (phi_tree(exponent="x"), real_error("family.terms.exponents", "x")),
+    (phi_tree(lifts=2.9), integer_error("base.lifts", 2.9)),
+    (phi_tree(lifts=True), integer_error("base.lifts", True)),
+    (phi_tree(lifts="2"), integer_error("base.lifts", "2")),
+    (phi_tree(project_to=2.9), integer_error("base.project_to", 2.9)),
+    (phi_tree(project_to=True), integer_error("base.project_to", True)),
+    (phi_tree(project_to="2"), integer_error("base.project_to", "2")),
+    (phi_tree(lifts=1.0), integer_error("base.lifts", 1.0)),
+    (
+        {**phi_tree(), "family": {"terms": ["1.0"]}},
+        r"^section 'family\.terms\[0\]' must be an object$",
+    ),
+    ([phi_tree()], r"^section 'tree' must be an object$"),
+    ("peano_line", r"^section 'tree' must be an object$"),
+    ({"base": 5}, r"^section 'base' must be an object$"),
+    ({"base": None}, r"^section 'base' must be an object$"),
+    ({**phi_tree(), "family": []}, r"^section 'family' must be an object$"),
+    ({**phi_tree(), "family": {"terms": 5}}, r"^expected a list in 'family.terms', got 5$"),
+    ({**phi_tree(), "family": {}}, r"^family needs diagonal_exponents or terms$"),
+    (
+        {"base": {"construct": ["extend_to_line"]}},
+        r"^unknown base construct \['extend_to_line'\]$",
+    ),
+    ({"family": phi_tree()["family"]}, r"^missing keys \['base'\] in section 'tree'$"),
+    ({"base": {"lifts": 1}}, r"^missing keys \['construct'\] in section 'base'$"),
+]
 
 
 class TestSerialization:
@@ -617,107 +652,71 @@ class TestSerialization:
         member = make_diagonal_family([1.5], 3)[0]
         pipe = compose_with_base(member, F)
         lifted = DimLift(lift_dimension(g))
-        trees = (g, F, pipe, lifted)
-        for expr in trees:
+        for expr in (g, F, pipe, lifted):
             data = expr_to_dict(expr)
             assert expr_from_dict(data) == expr
-        kinds = {node.kind for expr in trees for node in tree_nodes(expr)}
-        assert kinds == set(surjkit.surjections._KINDS)
+            assert ("family" in data) == isinstance(expr, PhiCompose)
 
-    def test_keys_follow_the_node_fields(self):
+    def test_the_dict_is_a_spec_base_and_family(self):
         data = expr_to_dict(project_lift(extend_to_line(), 3))
-        assert list(data) == ["kind", "inner", "arity", "domain_arity", "codomain_arity"]
-        assert data["inner"] == {"kind": "peano_line"}
-
-    def test_every_node_class_is_in_the_kind_table(self):
-        def concrete(cls):
-            for sub in cls.__subclasses__():
-                yield sub
-                yield from concrete(sub)
-
-        # the package's node classes; test modules define their own
-        nodes = [cls for cls in concrete(FunctionExpr) if cls.__module__.startswith("surjkit.")]
-        kinds = surjkit.surjections._KINDS
-        assert {cls.kind: cls for cls in nodes} == kinds
-        assert len(kinds) == 4
+        assert data == {"base": {"construct": "extend_to_line", "lifts": 0, "project_to": 3}}
+        member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 3))
+        base = project_lift(lift_dimension(extend_to_line()), 2)
+        data = expr_to_dict(compose_with_base(member, base))
+        assert data == {
+            "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 2},
+            "family": {"terms": [
+                {"coefficient": "-1.0", "exponents": ["2.0", "2.0", "2.0"]},
+                {"coefficient": "1.0", "exponents": ["1.0", "1.0", "1.0"]},
+            ]},
+        }
 
     @pytest.mark.parametrize(
-        "data",
-        [
-            phi_tree(coefficient="nan"),
-            phi_tree(coefficient="inf"),
-            phi_tree(coefficient="-inf"),
-            phi_tree(coefficient=True),
-            phi_tree(exponent="nan"),
-            phi_tree(exponent="inf"),
-            phi_tree(exponent="x"),
-            phi_tree(arity=2.9),
-            phi_tree(arity=True),
-            phi_tree(arity="2"),
-            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 2.9},
-            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": True},
-            {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": "2"},
-            {"kind": "peano_line", "domain_arity": 1.0},
-            {"kind": "peano_line", "codomain_arity": "2"},
-            [{"kind": "peano_line"}],
-            "peano_line",
-            {"kind": "dim_lift", "inner": 5},
-            {"kind": "dim_lift", "inner": None},
-            {**phi_tree(), "member": []},
-            {**phi_tree(), "member": {"arity": 2, "terms": 5}},
-            {**phi_tree(), "member": {"arity": 2}},
-            {"kind": ["peano_line"]},  # unhashable; test_unknown_kind_rejected has a string
-            {"inner": {"kind": "peano_line"}},
-            {"kind": "dim_lift"},
-        ],
+        "data,message",
+        MALFORMED_TREES,
+        # the ids pytest gives a lone data parameter
+        ids=[d if isinstance(d, str) else f"data{i}" for i, (d, _) in enumerate(MALFORMED_TREES)],
     )
-    def test_malformed_trees_raise_structural_error(self, data):
+    def test_malformed_trees_raise_structural_error(self, data, message):
         # never a bare ValueError or TypeError, and never a silent truncation
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match=message):
             expr_from_dict(data)
 
     def test_the_arity_cap_holds_for_tree_dicts(self):
-        data = expr_to_dict(extend_to_line())
-        for _ in range(8):
-            data = {"kind": "dim_lift", "inner": data}
-        with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
-            expr_from_dict(data)
-        data = {"kind": "project_lift", "inner": {"kind": "peano_line"}, "arity": 7}
+        for lifts in (5, 3_000_000):
+            with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
+                expr_from_dict(phi_tree(lifts=lifts))
         with pytest.raises(ResourceError, match="^domain arity 7 exceeds cap 6$"):
-            expr_from_dict(data)
-        # the member's own cap holds before it reduces one span per coordinate
-        data = {
-            "kind": "phi_compose",
-            "member": {"arity": 10**9, "terms": []},
-            "inner": {"kind": "peano_line"},
-        }
-        with pytest.raises(ResourceError, match="^member arity 1000000000 exceeds cap 6$"):
-            expr_from_dict(data)
-
-    def test_nesting_past_the_recursion_limit_is_a_structural_error(self):
-        # json.loads accepts this depth; reading it must not raise RecursionError
-        for kind in ("dim_lift", "project_lift"):
-            data = {"kind": "peano_line"}
-            for _ in range(sys.getrecursionlimit()):
-                data = {"kind": kind, "inner": data}
-                if kind == "project_lift":
-                    data["arity"] = 1
-            with pytest.raises(StructuralError, match="^tree nested too deep to read$"):
-                expr_from_dict(data)
+            expr_from_dict(phi_tree(project_to=7))
 
     def test_declared_arities_are_checked(self):
-        data = expr_to_dict(extend_to_line())
-        data["codomain_arity"] = 5
-        with pytest.raises(StructuralError):
-            expr_from_dict(data)
+        # a term's exponent count must be the base's codomain, and the counts must be in range
+        message = r"^family.terms\[0\] has 2 exponents, base produces 3$"
+        with pytest.raises(StructuralError, match=message):
+            expr_from_dict(phi_tree(lifts=1))
+        with pytest.raises(StructuralError, match="^base.lifts must be non-negative$"):
+            expr_from_dict(phi_tree(lifts=-1))
+        with pytest.raises(DomainError, match=r"^target domain arity must be an integer >= 2"):
+            expr_from_dict(phi_tree(project_to=0))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(StructuralError):
-            expr_from_dict({"kind": "moebius"})
+        # the base construct names the kind of map the tree starts from
+        with pytest.raises(StructuralError, match="^unknown base construct 'moebius'$"):
+            expr_from_dict({"base": {"construct": "moebius"}})
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(StructuralError):
-            expr_from_dict({"kind": "peano_line", "padding": 1})
+        base = {"construct": "extend_to_line"}
+        for data, key, section in (
+            ({"base": {**base, "padding": 1}}, "padding", "base"),
+            ({**phi_tree(), "family": {"terms": [], "padding": 1}}, "padding", "family"),
+            ({"base": base, "padding": 1}, "padding", "tree"),
+            # a tree dict is a spec's base and family only
+            ({"base": base, "output": {"format": "json"}}, "output", "tree"),
+        ):
+            with pytest.raises(
+                StructuralError, match=rf"^unknown keys \['{key}'\] in section '{section}'$"
+            ):
+                expr_from_dict(data)
 
 
 def grammar_trees():
@@ -742,6 +741,8 @@ class TestGrammar:
             read = expr_from_dict(expr_to_dict(tree))
             assert read == tree and hash(read) == hash(tree)
             assert read.describe() == tree.describe()
+            spec = parse_spec_data(expr_to_dict(tree)).pipeline
+            assert spec == tree and spec.describe() == tree.describe()
             point = (0.75,) + (2.0,) * (tree.domain_arity - 1)
             value = evaluate_at(tree, point, 8).value
             assert len(value) == tree.codomain_arity and all(map(math.isfinite, value))
@@ -759,7 +760,6 @@ class TestGrammar:
     def test_a_node_above_a_member_is_refused_on_every_path(self):
         member = diagonal_member(3)
         top = compose_with_base(member, lift_dimension(extend_to_line()))
-        data = expr_to_dict(top)
         builds = [
             lambda: compose_with_base(member, top),
             lambda: PhiCompose(member, top),
@@ -767,9 +767,6 @@ class TestGrammar:
             lambda: DimLift(top),
             lambda: project_lift(top, 2),
             lambda: ProjectLift(top, 2),
-            lambda: expr_from_dict({"kind": "phi_compose", "member": data["member"], "inner": data}),
-            lambda: expr_from_dict({"kind": "dim_lift", "inner": data}),
-            lambda: expr_from_dict({"kind": "project_lift", "inner": data, "arity": 2}),
         ]
         for build in builds:
             with pytest.raises(StructuralError, match="^a span member applies at the root only$"):
