@@ -32,9 +32,9 @@ _EXPORTS = {
         "make_scalar_span", "phi_eval", "phi_inverse", "scalar_solve",
     ),
     "surjections": (
-        "DimLift", "EvalResult", "FunctionExpr", "PeanoLine", "PhiCompose", "ProjectLift",
-        "compose_with_base", "evaluate_at", "evaluate_to_precision", "expr_from_dict",
-        "expr_to_dict", "extend_to_line", "lift_dimension", "preimage", "project_lift",
+        "EvalResult", "FunctionExpr", "compose_with_base", "evaluate_at", "evaluate_to_precision",
+        "expr_from_dict", "expr_to_dict", "extend_to_line", "lift_dimension", "preimage",
+        "project_lift",
     ),
     "certify": (
         "BoxSpec", "CoverageCertificate", "Witness", "certify_surjective_on_box", "support_rank",

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from ._value import Value, set_field
 from .errors import DomainError, ResourceError, StructuralError
 from .spans import VectorSpanMember
-from .surjections import FunctionExpr, _checked_preimage, _sinh_stage, _sup_error
+from .surjections import FunctionExpr, _checked_preimage, _expect, _sinh_stage, _sup_error
 
 DEFAULT_TARGET_BUDGET = 100_000
 
@@ -120,8 +120,7 @@ def _witnesses(
     The arguments are checked on the call, before any target is searched;
     the grid is walked, not listed, so memory stays flat at any grid size.
     """
-    if not isinstance(f, (VectorSpanMember, FunctionExpr)):
-        raise DomainError(f"cannot certify an object of type {type(f).__name__}")
+    _expect(f, (VectorSpanMember, FunctionExpr), "certify")
     if not 0 < eps < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {eps}")
     if box.target_count > target_budget:
@@ -182,8 +181,7 @@ def support_rank(members: Sequence[VectorSpanMember]) -> tuple[int, int]:
 
     support: dict[tuple[int, float], list[Fraction]] = {}
     for i, member in enumerate(members):
-        if not isinstance(member, VectorSpanMember):
-            raise DomainError(f"cannot rank an object of type {type(member).__name__}")
+        _expect(member, VectorSpanMember, "rank")
         for lam, rvec in member.terms:
             for j, s in enumerate(rvec):
                 support.setdefault((j, s), [Fraction(0)] * len(members))[i] += Fraction(lam)

@@ -4,7 +4,7 @@ The building block is the odd homeomorphism t -> e^(r t) - e^(-r t)
 (= 2 sinh(r t)) for r > 0. Finite linear combinations over distinct
 exponents form ScalarSpan values; n-coordinate stacks of them, indexed by
 exponent vectors, form VectorSpanMember values. A member applied after a
-base surjection is the expression node built by
+base surjection is the member field of the tree built by
 surjections.compose_with_base.
 """
 
@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 from ._value import Value, set_field
 from .errors import DomainError, NoSolutionError, ResourceError
 
-# the largest arity a member, or a tree node's domain or codomain, accepts
+# the largest arity a member, or a tree's domain or codomain, accepts
 ARITY_CAP = 6
 BRACKET_CAP = 2.0**60
 

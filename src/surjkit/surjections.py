@@ -1,7 +1,10 @@
-"""Concrete continuous surjections R^m -> R^n as immutable expression trees.
+"""Concrete continuous surjections R^m -> R^n as immutable three-field records.
 
-Constructors
-------------
+Every tree has the paper's one shape, FunctionExpr(lifts, arity, member): the
+line-to-plane map under `lifts` dimension lifts, reading the first of `arity`
+inputs, with an optional span member applied after it. Four factories build
+it in the paper's vocabulary and refuse every other shape:
+
 extend_to_line   the line-to-plane map: constant (0,0) on t <= 0, then for
                  each n >= 1 a linear bridge on [n-1, n-1/2] into the box
                  B_n = [-n, n]^2 followed by a rescaled Hilbert curve over
@@ -10,11 +13,9 @@ lift_dimension   turns an S_{1,n} tree into S_{1,n+1} by expanding the last
                  output coordinate through a fresh line-to-plane map
 project_lift     turns an S_{1,n} tree into S_{m,n} by reading only the
                  first input coordinate
-                 (both refuse an arity past ARITY_CAP, as their nodes do)
-compose_with_base  applies a vector span member after a base surjection;
-                   this node is the one form of "member after base"
-A member applies at the root only; with the arity cap, no tree has more
-than 7 nodes, so hash, describe, evaluation and inversion stay bounded.
+                 (both refuse an arity past ARITY_CAP)
+compose_with_base  applies a vector span member after a base surjection,
+                   at the root only
 
 evaluate_at returns the depth-k approximant together with a conservative
 error estimate; preimage inverts the tree analytically, returning exact
@@ -32,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._hilbert import EVAL_DEPTH_CAP
-from ._value import Value, set_field
+from ._value import Value
 from .curve import _cell, _check_depth, _d2xy, _ratio, _xy2d
 from .errors import (
     DegenerateMemberError,
@@ -51,204 +52,51 @@ _MEMO_SIZE = 4096
 Real = Union[int, float, Fraction]
 
 
+def _expect(value, kind, action: str):
+    """value, if it is an instance of kind; otherwise DomainError."""
+    if not isinstance(value, kind):
+        raise DomainError(f"cannot {action} an object of type {type(value).__name__}")
+    return value
+
+
 class FunctionExpr(Value):
-    """Base of the immutable expression tree; nodes are value types, equal
-    exactly when they are the same kind of node with equal fields."""
+    """The line-to-plane map under `lifts` dimension lifts, reading the first
+    of `arity` inputs (1: no projection), then the span `member` (None: a
+    bare base). Equal exactly when the three fields are; the factories are
+    the checked way to build one.
 
-    __slots__ = ()
+    Points and values are exact (numerator, denominator) pairs, except that
+    a member's values are (float, 1). In the stage-named errors of
+    _preimage, a lift's trailing line-to-plane map is its pair and the map
+    below a lift or a member is its inner map."""
 
-    # a node has its inner map's arities unless it changes one
-    @property
-    def domain_arity(self) -> int:
-        return self.inner.domain_arity
-
-    @property
-    def codomain_arity(self) -> int:
-        return self.inner.codomain_arity
-
-    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
-        """Depth-k values and error estimate; point and values are exact
-        (numerator, denominator) pairs, except that a sinh stage returns
-        (float, 1). depth None is the limit map (k = infinity) at a dyadic
-        point, with estimate 0."""
-        raise NotImplementedError
-
-    def _preimage(self, target: tuple, bits: float) -> tuple:
-        """A point whose image lies within 2**-bits of target."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-class PeanoLine(FunctionExpr):
-    """The line-to-plane surjection; domain arity 1, codomain arity 2."""
-
-    __slots__ = ()
-    domain_arity = 1
-    codomain_arity = 2
-
-    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
-        p, q = point[0]
-        if p <= 0:
-            return ((0, 1), (0, 1)), 0.0
-        i, r = divmod(p, q)
-        n = i + 1
-        if 2 * r < q:
-            # bridge at theta = 2r/q from the previous exit (i, -i), or the
-            # origin, to the entry (-n, -n) of B_n
-            px, py = (i, -i) if i else (0, 0)
-            return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), 0.0
-        u = 2 * r - q  # the curve parameter is u/q in [0, 1) over B_n
-        if depth is not None:
-            index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
-            col, row = _d2xy(depth, index)
-            side = 1 << depth
-            return (
-                ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
-                float(2 * n) * 2.0 ** (-depth),
-            )
-        e = q.bit_length() - 1
-        if q != 1 << e:
-            raise DomainError("the limit map is evaluated at dyadic parameters only")
-        d = (e + 1) >> 1
-        index = (u << 2 * d) // q  # exact: the parameter is index / 4^d
-        # the entry corner of cell index: 2 center(d + 1, 4 index) - center(d, index)
-        col, row = _d2xy(d + 1, index << 2)
-        x, y, side = col - (col >> 1), row - (row >> 1), 1 << d
-        return ((n * (2 * x - side), side), (n * (2 * y - side), side)), 0.0
-
-    def _modulus_at(self, t: float, delta: float, depth: int) -> float:
-        """Bound on output movement over [t - delta, t + delta]."""
-        if t + delta <= 0:
-            return 0.0
-        n = math.floor(t + delta) + 1
-        bridge = 2.0 * (2 * n - 1) * min(2.0 * delta, 0.5)
-        curve = 2.0 * n * (math.sqrt(6.0 * min(4.0 * delta, 1.0)) + 2.0 ** (1 - depth))
-        return bridge + curve
-
-    def _preimage_with_depth(self, target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
-        (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
-        # the smallest box B_n holding the target, n >= 1
-        n = max(-(-abs(pa) // qa), -(-abs(pb) // qb), 1)
-        # half a cell of B_n at depth k stays within 2**-bits / 2
-        depth = math.log2(4 * n) + bits
-        if not depth <= EVAL_DEPTH_CAP:  # an infinite or nan depth fails here too
-            shown = math.ceil(depth) if math.isfinite(depth) else depth
-            raise ResourceError(f"preimage depth {shown} exceeds cap {EVAL_DEPTH_CAP}")
-        k = math.ceil(depth)
-        if k < 1:
-            k = 1
-        # the depth-k cell of the target's position (p + n q) / (2 n q) in the
-        # unit square
-        col, row = _cell(pa + n * qa, 2 * n * qa, pb + n * qb, 2 * n * qb, k)
-        # t = (2n - 1)/2 + index / (2 * 4^k)
-        return (Fraction(((2 * n - 1) << 2 * k) + _xy2d(k, col, row), 2 << 2 * k),), k
-
-    def _preimage(self, target: tuple, bits: float) -> tuple:
-        witness, _ = self._preimage_with_depth(target, bits)
-        return witness
-
-    def describe(self) -> str:
-        return "peano_line"
-
-
-class DimLift(FunctionExpr):
-    """Expands the last output coordinate of an S_{1,n} tree through a
-    fresh line-to-plane map (the trailing pair), producing S_{1,n+1}."""
-
-    __slots__ = _fields = ("inner",)
-    inner: FunctionExpr
-
-    def __init__(self, inner: FunctionExpr):
-        if inner.domain_arity != 1:
-            raise StructuralError("lift requires a domain arity of 1")
-        if inner.codomain_arity + 1 > ARITY_CAP:
-            raise ResourceError(f"codomain {inner.codomain_arity + 1} exceeds cap {ARITY_CAP}")
-        set_field(self, "inner", _below(inner))
-
-    @property
-    def codomain_arity(self) -> int:
-        return self.inner.codomain_arity + 1
-
-    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
-        values, est = self.inner._eval(point, depth)
-        last = values[-1]
-        pair_values, pair_est = _PAIR._eval((last,), depth)
-        if est > 0.0:
-            pair_est += _PAIR._modulus_at(last[0] / last[1], est, depth)
-        return values[:-1] + pair_values, max(est, pair_est)
-
-    def _preimage(self, target: tuple, bits: float) -> tuple:
-        try:
-            (s,), pair_depth = _invert_pair(target[-2:], bits + math.log2(6))
-        except ResourceError as err:
-            raise _in_node(err, "the pair of dim_lift") from err
-        # keep the inner map within half a parameter interval of the pair's
-        # depth so the pair output moves by at most one cell; as pair_depth
-        # exceeds bits, this is also finer than the 2**-(bits + 1) the
-        # inner map's leading coordinates need
-        try:
-            return self.inner._preimage(target[:-2] + (s,), 2 * pair_depth + 1)
-        except ResourceError as err:
-            raise _in_node(err, "the inner map of dim_lift") from err
-
-    def describe(self) -> str:
-        return f"dim_lift({self.inner.describe()})"
-
-
-class ProjectLift(FunctionExpr):
-    """Reads only the first input coordinate: F(x_1, ..., x_m) = g(x_1)."""
-
-    __slots__ = _fields = ("inner", "arity")
-    inner: FunctionExpr
+    __slots__ = _fields = ("lifts", "arity", "member")
+    lifts: int
     arity: int
-
-    def __init__(self, inner: FunctionExpr, arity: int):
-        if inner.domain_arity != 1:
-            raise StructuralError("projection lift requires an inner domain arity of 1")
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 2:
-            # refusing the identity (arity 1) keeps projections from nesting
-            raise DomainError(
-                f"target domain arity must be an integer >= 2 (1 is the identity), got {arity!r}"
-            )
-        if arity > ARITY_CAP:
-            raise ResourceError(f"domain arity {arity} exceeds cap {ARITY_CAP}")
-        set_field(self, "inner", _below(inner))
-        set_field(self, "arity", arity)
+    member: Optional[VectorSpanMember]
 
     @property
     def domain_arity(self) -> int:
         return self.arity
 
-    def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
-        return self.inner._eval((point[0],), depth)
-
-    def _preimage(self, target: tuple, bits: float) -> tuple:
-        (s,) = self.inner._preimage(target, bits)
-        return (s,) + (0,) * (self.arity - 1)
-
-    def describe(self) -> str:
-        return f"project_lift[m={self.arity}]({self.inner.describe()})"
-
-
-class PhiCompose(FunctionExpr):
-    """A vector span member applied after a base surjection."""
-
-    __slots__ = _fields = ("member", "inner")
-    member: VectorSpanMember
-    inner: FunctionExpr
-
-    def __init__(self, member: VectorSpanMember, inner: FunctionExpr):
-        if member.arity != inner.codomain_arity:
-            raise StructuralError(
-                f"member arity {member.arity} != base codomain {inner.codomain_arity}"
-            )
-        set_field(self, "member", member)
-        set_field(self, "inner", _below(inner))
+    @property
+    def codomain_arity(self) -> int:
+        return self.lifts + 2
 
     def _eval(self, point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
-        values, est = self.inner._eval(point, depth)
+        """Depth-k values and error estimate; depth None is the limit map
+        (k = infinity) at a dyadic point, with estimate 0."""
+        values, est = _line_eval(point[0], depth)
+        lifts = self.lifts  # counted down, as a range would cost the bare map an allocation
+        while lifts:
+            lifts -= 1
+            last = values[-1]
+            pair_values, pair_est = _line_eval(last, depth)
+            if est > 0.0:
+                pair_est += _line_modulus(last[0] / last[1], est, depth)
+            values, est = values[:-1] + pair_values, max(est, pair_est)
+        if self.member is None:
+            return values, est
         spans = self.member.spans
         inputs = [p / q for p, q in values]
         out = tuple([(span.value(x), 1) for span, x in zip(spans, inputs)])
@@ -260,32 +108,101 @@ class PhiCompose(FunctionExpr):
         return out, amplified
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        solved, bounds = _sinh_stage(self.member, target, 2.0 ** -(bits + 1), "phi_compose")
-        # the inner map within half the tolerance / lipschitz (and never coarser than 1)
+        """A point whose image lies within 2**-bits of target: the sinh stage,
+        then each lift's pair from the outermost in, then the leaf."""
+        if self.member is not None:
+            target, bounds = _sinh_stage(self.member, target, 2.0 ** -(bits + 1), "phi_compose")
+            # the base within half the tolerance / lipschitz (and never coarser than 1)
+            bits = max(0.0, bits + 1 + math.log2(max(bounds)))
+        done = 0  # the lifts whose pair is inverted
         try:
-            return self.inner._preimage(solved, max(0.0, bits + 1 + math.log2(max(bounds))))
+            while done < self.lifts:
+                (s,), pair_depth = _invert_pair(target[-2:], bits + math.log2(6))
+                # keep the map below within half a parameter interval of the
+                # pair's depth so the pair output moves by at most one cell; as
+                # pair_depth exceeds bits, this is also finer than the
+                # 2**-(bits + 1) the leading coordinates need
+                target, bits = target[:-2] + (s,), 2 * pair_depth + 1
+                done += 1
+            witness, _ = _line_preimage(target, bits)
         except ResourceError as err:
-            raise _in_node(err, "the inner map of phi_compose") from err
+            # name the stage that failed, then each stage around it, outward
+            stage = "" if done == self.lifts else " in the pair of dim_lift"
+            stage += " in the inner map of dim_lift" * done
+            if self.member is not None:
+                stage += " in the inner map of phi_compose"
+            raise ResourceError(f"{err}{stage}") from err
+        return witness + (0,) * (self.arity - 1)
 
     def describe(self) -> str:
-        return f"({self.member.describe()}) o {self.inner.describe()}"
+        text = "dim_lift(" * self.lifts + "peano_line" + ")" * self.lifts
+        if self.arity > 1:
+            text = f"project_lift[m={self.arity}]({text})"
+        return text if self.member is None else f"({self.member.describe()}) o {text}"
 
 
-_PAIR = PeanoLine()  # the trailing line-to-plane map of every lift
+def _line_eval(point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
+    """The line-to-plane map at the exact parameter point = (p, q): its
+    depth-k values and error estimate, or at depth None its limit."""
+    p, q = point
+    if p <= 0:
+        return ((0, 1), (0, 1)), 0.0
+    i, r = divmod(p, q)
+    n = i + 1
+    if 2 * r < q:
+        # bridge at theta = 2r/q from the previous exit (i, -i), or the
+        # origin, to the entry (-n, -n) of B_n
+        px, py = (i, -i) if i else (0, 0)
+        return ((px * q + 2 * r * (-n - px), q), (py * q + 2 * r * (-n - py), q)), 0.0
+    u = 2 * r - q  # the curve parameter is u/q in [0, 1) over B_n
+    if depth is not None:
+        index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
+        col, row = _d2xy(depth, index)
+        side = 1 << depth
+        return (
+            ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
+            float(2 * n) * 2.0 ** (-depth),
+        )
+    e = q.bit_length() - 1
+    if q != 1 << e:
+        raise DomainError("the limit map is evaluated at dyadic parameters only")
+    d = (e + 1) >> 1
+    index = (u << 2 * d) // q  # exact: the parameter is index / 4^d
+    # the entry corner of cell index: 2 center(d + 1, 4 index) - center(d, index)
+    col, row = _d2xy(d + 1, index << 2)
+    x, y, side = col - (col >> 1), row - (row >> 1), 1 << d
+    return ((n * (2 * x - side), side), (n * (2 * y - side), side)), 0.0
 
 
-def _below(inner: FunctionExpr) -> FunctionExpr:
-    """inner, as the inner map of another node; a span member, StructuralError."""
-    if isinstance(inner, PhiCompose):
-        raise StructuralError("a span member applies at the root only")
-    return inner
+def _line_modulus(t: float, delta: float, depth: int) -> float:
+    """Bound on the line-to-plane map's output movement over [t - delta, t + delta]."""
+    if t + delta <= 0:
+        return 0.0
+    n = math.floor(t + delta) + 1
+    bridge = 2.0 * (2 * n - 1) * min(2.0 * delta, 0.5)
+    curve = 2.0 * n * (math.sqrt(6.0 * min(4.0 * delta, 1.0)) + 2.0 ** (1 - depth))
+    return bridge + curve
 
 
-def _in_node(err: ResourceError, node: str) -> ResourceError:
-    """err, naming the tree node it passed through; the names read from the
-    node that raised outward to the root (a projection lift, which inverts
-    nothing itself, adds none)."""
-    return ResourceError(f"{err} in {node}")
+def _line_preimage(target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
+    """((t,), k): a parameter the line-to-plane map sends within 2**-bits of
+    the plane target, and the curve depth k it was found at."""
+    (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
+    # the smallest box B_n holding the target, n >= 1
+    n = max(-(-abs(pa) // qa), -(-abs(pb) // qb), 1)
+    # half a cell of B_n at depth k stays within 2**-bits / 2
+    depth = math.log2(4 * n) + bits
+    if not depth <= EVAL_DEPTH_CAP:  # an infinite or nan depth fails here too
+        shown = math.ceil(depth) if math.isfinite(depth) else depth
+        raise ResourceError(f"preimage depth {shown} exceeds cap {EVAL_DEPTH_CAP}")
+    k = math.ceil(depth)
+    if k < 1:
+        k = 1
+    # the depth-k cell of the target's position (p + n q) / (2 n q) in the
+    # unit square
+    col, row = _cell(pa + n * qa, 2 * n * qa, pb + n * qb, 2 * n * qb, k)
+    # t = (2n - 1)/2 + index / (2 * 4^k)
+    return (Fraction(((2 * n - 1) << 2 * k) + _xy2d(k, col, row), 2 << 2 * k),), k
 
 
 # Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
@@ -314,7 +231,7 @@ def _sinh_stage(
         try:
             solved.append(_solve_coordinate(span, float(y), tol))
         except ResourceError as err:
-            raise _in_node(err, f"the sinh stage of {node} coordinate {j + 1}") from err
+            raise ResourceError(f"{err} in the sinh stage of {node} coordinate {j + 1}") from err
     roots, bounds = zip(*solved)
     return roots, bounds
 
@@ -322,29 +239,52 @@ def _sinh_stage(
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _invert_pair(pair: tuple, bits: float) -> tuple[tuple[Fraction], int]:
     """A lift's trailing line-to-plane inversion: ((s,), its curve depth)."""
-    return _PAIR._preimage_with_depth(pair, bits)
+    return _line_preimage(pair, bits)
 
 
-def extend_to_line() -> PeanoLine:
+def _root_only(base: FunctionExpr) -> FunctionExpr:
+    """base, to build a tree on; one under a span member, StructuralError."""
+    if base.member is not None:
+        raise StructuralError("a span member applies at the root only")
+    return base
+
+
+def extend_to_line() -> FunctionExpr:
     """The concrete S_{1,2} member used as the seed of every construction."""
-    return PeanoLine()
+    return FunctionExpr(0, 1, None)
 
 
-def lift_dimension(f: FunctionExpr) -> DimLift:
+def lift_dimension(f: FunctionExpr) -> FunctionExpr:
     """S_{1,n} -> S_{1,n+1}; the first output coordinate is preserved exactly."""
-    return DimLift(f)
+    if _expect(f, FunctionExpr, "lift").domain_arity != 1:
+        raise StructuralError("lift requires a domain arity of 1")
+    if f.codomain_arity + 1 > ARITY_CAP:
+        raise ResourceError(f"codomain {f.codomain_arity + 1} exceeds cap {ARITY_CAP}")
+    return FunctionExpr(_root_only(f).lifts + 1, 1, None)
 
 
 def project_lift(g: FunctionExpr, target_m: int) -> FunctionExpr:
     """S_{1,n} -> S_{m,n} by F(x) = g(x_1); m = 1 returns g unchanged."""
-    if type(target_m) is int and target_m == 1 and g.domain_arity == 1:
+    if _expect(g, FunctionExpr, "project").domain_arity != 1:
+        raise StructuralError("projection lift requires an inner domain arity of 1")
+    if type(target_m) is int and target_m == 1:
         return g
-    return ProjectLift(g, target_m)
+    if isinstance(target_m, bool) or not isinstance(target_m, int) or target_m < 2:
+        # an arity that only compares equal to 1 (True, 1.0) is refused
+        raise DomainError(
+            f"target domain arity must be an integer >= 2 (1 is the identity), got {target_m!r}"
+        )
+    if target_m > ARITY_CAP:
+        raise ResourceError(f"domain arity {target_m} exceeds cap {ARITY_CAP}")
+    return FunctionExpr(_root_only(g).lifts, target_m, None)
 
 
-def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> PhiCompose:
-    """Span member after base surjection, as the root node of the tree."""
-    return PhiCompose(member, base)
+def compose_with_base(member: VectorSpanMember, base: FunctionExpr) -> FunctionExpr:
+    """Span member after base surjection, at the root of the tree."""
+    _expect(member, VectorSpanMember, "compose a base before")
+    if member.arity != _expect(base, FunctionExpr, "compose a member after").codomain_arity:
+        raise StructuralError(f"member arity {member.arity} != base codomain {base.codomain_arity}")
+    return FunctionExpr(_root_only(base).lifts, base.arity, member)
 
 
 class EvalResult(Value):
@@ -358,6 +298,7 @@ class EvalResult(Value):
 
 def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_EVAL_DEPTH) -> EvalResult:
     """Depth-k approximant of the expression at a point."""
+    _expect(expr, FunctionExpr, "evaluate")
     _check_depth(depth, 1)
     point = tuple(point)
     if len(point) != expr.domain_arity:
@@ -400,20 +341,23 @@ def _checked_preimage(
     at eps/2, then one forward check that evaluates the limit map exactly
     at the dyadic witness (up to the float rounding of a sinh stage)."""
     witness = expr._preimage(target, 1.0 - math.log2(eps))
-    value, _ = expr._eval(tuple(map(_ratio, witness)), None)
+    # from a list, not a map: tuple() sizes a map's result at 10 and shrinks
+    # it, which moves a block per target from one tuple free list to another
+    value, _ = expr._eval(tuple([_ratio(x) for x in witness]), None)
     return witness, _sup_error([abs(p / q - y) for (p, q), y in zip(value, target)])
 
 
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     """A point x whose image under the limit map is within eps of target (sup norm).
 
-    The analytic chain inverts each node and one forward check measures
+    The analytic chain inverts each stage and one forward check measures
     the witness's residual under the limit map, exactly through every
     curve stage, so a residual above eps raises RefinementError and means
     a bug.
     Curve-derived coordinates come back as exact Fractions: composed
     curve chains need more parameter resolution than a float carries.
     """
+    _expect(expr, FunctionExpr, "invert")
     if not 0 < eps < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {eps}")
     target = tuple(float(y) for y in target)
@@ -531,15 +475,13 @@ def expr_to_dict(expr: FunctionExpr) -> dict:
     """The tree as the base and family sections of a CLI spec: the line-to-plane
     map under base.lifts dimension lifts, projected to base.project_to inputs,
     and a root span member as explicit family.terms."""
-    terms = None
-    if isinstance(expr, PhiCompose):
-        terms = [{"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
-                 for lam, rvec in expr.member.terms]
-        expr = expr.inner
-    # the grammar fixes the rest: each lift adds one output, a projection sets the inputs
-    base = {"construct": "extend_to_line", "lifts": expr.codomain_arity - 2,
-            "project_to": expr.domain_arity}
-    return {"base": base} if terms is None else {"base": base, "family": {"terms": terms}}
+    _expect(expr, FunctionExpr, "serialize")
+    base = {"construct": "extend_to_line", "lifts": expr.lifts, "project_to": expr.arity}
+    if expr.member is None:
+        return {"base": base}
+    terms = [{"coefficient": repr(lam), "exponents": [repr(r) for r in rvec]}
+             for lam, rvec in expr.member.terms]
+    return {"base": base, "family": {"terms": terms}}
 
 
 def expr_from_dict(data: dict) -> FunctionExpr:

@@ -12,7 +12,6 @@ from surjkit import (
     DegenerateMemberError,
     DomainError,
     FunctionExpr,
-    PhiCompose,
     RefinementError,
     ResourceError,
     StructuralError,
@@ -127,7 +126,7 @@ class TestCoverage:
     def test_one_forward_check_per_target(self, monkeypatch):
         # the forward check is one limit-map evaluation of the whole pipeline
         calls = []
-        check = PhiCompose._eval
+        check = FunctionExpr._eval
 
         def counting_check(self, point, depth):
             if depth is None:
@@ -135,14 +134,14 @@ class TestCoverage:
             return check(self, point, depth)
 
         inversions = []
-        invert = PhiCompose._preimage
+        invert = FunctionExpr._preimage
 
         def counting_invert(self, target, *args):
             inversions.append(target)
             return invert(self, target, *args)
 
-        monkeypatch.setattr(PhiCompose, "_preimage", counting_invert)
-        monkeypatch.setattr(PhiCompose, "_eval", counting_check)
+        monkeypatch.setattr(FunctionExpr, "_preimage", counting_invert)
+        monkeypatch.setattr(FunctionExpr, "_eval", counting_check)
         member = make_diagonal_family([1.0], 3)[0]
         box = BoxSpec(((-6, 6),) * 3, 3)
         cert = certify_surjective_on_box(compose_with_base(member, s23_base()), box, 1e-3)
@@ -293,10 +292,10 @@ class TestCoverage:
 
 class IdentityWithNan(FunctionExpr):
     """The identity of the plane, except that its limit map reads nan in
-    coordinate 2 wherever coordinate 1 is 1."""
+    coordinate 2 wherever coordinate 1 is 1; built as IdentityWithNan(0, 2,
+    None), it has the plane's arities by the record's own rules."""
 
     __slots__ = ()
-    domain_arity = codomain_arity = 2
 
     def _preimage(self, target, bits):
         return target
@@ -316,7 +315,8 @@ class TestNanResidual:
         assert _sup_error([0.1, 0.3, 0.2]) == 0.3
 
     def test_a_nan_in_coordinate_2_fails_the_target(self):
-        f = IdentityWithNan()
+        f = IdentityWithNan(0, 2, None)
+        assert (f.domain_arity, f.codomain_arity) == (2, 2)
         assert preimage(f, (0.5, 0.25), 1e-9) == (0.5, 0.25)
         with pytest.raises(RefinementError):
             preimage(f, (1.0, 0.25), 1e-9)

@@ -387,13 +387,13 @@ class TestCertify:
     def test_one_evaluation_path(self, tmp_path, monkeypatch):
         # the rank reads coefficients alone: only the limit map is evaluated
         depths = []
-        peano_eval = surjkit.surjections.PeanoLine._eval
+        tree_eval = surjkit.surjections.FunctionExpr._eval
 
         def spy(self, point, depth):
             depths.append(depth)
-            return peano_eval(self, point, depth)
+            return tree_eval(self, point, depth)
 
-        monkeypatch.setattr(surjkit.surjections.PeanoLine, "_eval", spy)
+        monkeypatch.setattr(surjkit.surjections.FunctionExpr, "_eval", spy)
         spec = write_spec(tmp_path, README_SPEC)
         assert main(["certify", "--spec", spec, "--report", str(tmp_path / "r.json")]) == EXIT_OK
         assert depths and set(depths) == {None}
@@ -569,6 +569,22 @@ class TestCertify:
                 },
                 "a0a3e566b14ef5a22ca6af4f3ecce9e073932e2270a552d0779ac48a2c596c6e",
                 id="lifts-3",
+            ),
+            pytest.param(
+                {
+                    "base": {"construct": "extend_to_line", "lifts": 4},
+                    "certify": {"box": [["-3", "3"]] * 6, "grid": 3, "epsilon": "1e-3"},
+                },
+                "379dbeaf32c895e201b78fb76d5d6a92ff0bed7558f25bfad92df1b79bccf614",
+                id="lifts-4",
+            ),
+            pytest.param(
+                {
+                    "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 4},
+                    "certify": {"box": [["-3", "3"]] * 3, "grid": 3, "epsilon": "1e-3"},
+                },
+                "6224ecd4a4160a735221eba4ce2d3123a791790634a8380277c86a7f0ce42441",
+                id="lifts-1-project-4",
             ),
         ],
     )

@@ -10,12 +10,8 @@ from hypothesis import given, strategies as st
 
 import surjkit.spans
 from surjkit import (
-    DimLift,
     DomainError,
     FunctionExpr,
-    PeanoLine,
-    PhiCompose,
-    ProjectLift,
     ResourceError,
     StructuralError,
     VectorSpanMember,
@@ -34,6 +30,7 @@ from surjkit import (
 )
 from surjkit.cli import parse_spec_data
 from surjkit.curve import _d2xy, _ratio
+from surjkit.surjections import _line_modulus, _line_preimage
 from oracles import covered_targets, line_map_points, recursion_centers, sweep_plane_cloud
 
 
@@ -58,7 +55,7 @@ class TestExtendToLine:
             left = evaluate_at(g, (junction - eps,), depth=12).value
             right = evaluate_at(g, (junction + eps,), depth=12).value
             gap = max(abs(a - b) for a, b in zip(left, right))
-            assert gap <= g._modulus_at(junction, eps, 12)
+            assert gap <= _line_modulus(junction, eps, 12)
 
     def test_box_curve_stays_inside_its_box(self):
         g = extend_to_line()
@@ -107,10 +104,8 @@ class TestLiftDimension:
         expr = extend_to_line()
         for _ in range(4):
             expr = lift_dimension(expr)
-        # the node owns the cap: the factory and the class refuse alike
-        for build in (lift_dimension, DimLift):
-            with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
-                build(expr)
+        with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
+            lift_dimension(expr)
 
     def test_rejects_wrong_arity(self):
         g = extend_to_line()
@@ -146,19 +141,18 @@ class TestProjectLift:
         assert project_lift(g, 1) is g
 
     def test_arity_one_node_is_refused(self):
-        # the identity projection is never a node, so projections cannot nest
-        for build in (
-            lambda: ProjectLift(PeanoLine(), 1),
-            lambda: DimLift(ProjectLift(PeanoLine(), 1)),
-            lambda: project_lift(extend_to_line(), True),
-        ):
+        # arity 1 is no projection, so projections cannot nest; an arity
+        # that only compares equal to 1 is refused, not taken for it
+        for arity in (True, 1.0):
             with pytest.raises(DomainError, match=r"^target domain arity must be an integer >= 2"):
-                build()
+                project_lift(extend_to_line(), arity)
+        g = extend_to_line()
+        assert project_lift(g, 1).arity == 1 and lift_dimension(project_lift(g, 1)).arity == 1
 
     @pytest.mark.parametrize("arity", [2.5, 2.0, True, "2", None])
     def test_non_integer_arity_rejected(self, arity):
         with pytest.raises(DomainError):
-            ProjectLift(PeanoLine(), arity)
+            project_lift(extend_to_line(), arity)
 
     def test_bad_arity_rejected(self):
         with pytest.raises(DomainError):
@@ -175,28 +169,70 @@ def diagonal_member(n):
     return VectorSpanMember(((1.0, (1.0,) * n),), n)
 
 
-LINE = PeanoLine()
+LINE = extend_to_line()
 
 
-# (tree, domain arity, codomain arity) by the node rules: the line-to-plane map
-# is R -> R^2, a lift adds one codomain coordinate, a projection to m sets the
-# domain to R^m, and a member after a base keeps both of the base's arities
+def lifted(lifts):
+    expr = LINE
+    for _ in range(lifts):
+        expr = lift_dimension(expr)
+    return expr
+
+
+# (tree, domain arity, codomain arity) by the factory rules: the line-to-plane
+# map is R -> R^2, a lift adds one codomain coordinate, a projection to m sets
+# the domain to R^m, and a member after a base keeps both of the base's arities
 @pytest.mark.parametrize(
     "expr,domain,codomain",
     [
         (LINE, 1, 2),
-        (DimLift(LINE), 1, 2 + 1),
-        (DimLift(DimLift(DimLift(LINE))), 1, 2 + 3),
-        (ProjectLift(LINE, 3), 3, 2),
-        (ProjectLift(DimLift(DimLift(LINE)), 5), 5, 2 + 2),
-        (PhiCompose(diagonal_member(2), LINE), 1, 2),
-        (PhiCompose(diagonal_member(2), ProjectLift(LINE, 4)), 4, 2),
-        (PhiCompose(diagonal_member(3), ProjectLift(DimLift(LINE), 6)), 6, 2 + 1),
+        (lifted(1), 1, 2 + 1),
+        (lifted(3), 1, 2 + 3),
+        (project_lift(LINE, 3), 3, 2),
+        (project_lift(lifted(2), 5), 5, 2 + 2),
+        (compose_with_base(diagonal_member(2), LINE), 1, 2),
+        (compose_with_base(diagonal_member(2), project_lift(LINE, 4)), 4, 2),
+        (compose_with_base(diagonal_member(3), project_lift(lifted(1), 6)), 6, 2 + 1),
     ],
     ids=lambda v: v.describe() if isinstance(v, FunctionExpr) else None,
 )
 def test_node_arities(expr, domain, codomain):
     assert (expr.domain_arity, expr.codomain_arity) == (domain, codomain)
+
+
+MEMBER2 = diagonal_member(2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: preimage(MEMBER2, (1.0, 1.0), 1e-3), "invert an object of type VectorSpanMember"),
+        (lambda: evaluate_at(MEMBER2, (1.0,)), "evaluate an object of type VectorSpanMember"),
+        (
+            lambda: evaluate_to_precision(MEMBER2, (1.0,), 1e-3),
+            "evaluate an object of type VectorSpanMember",
+        ),
+        (lambda: lift_dimension(MEMBER2), "lift an object of type VectorSpanMember"),
+        (lambda: lift_dimension("peano_line"), "lift an object of type str"),
+        (lambda: project_lift(MEMBER2, 2), "project an object of type VectorSpanMember"),
+        (lambda: project_lift(MEMBER2, 1), "project an object of type VectorSpanMember"),
+        (
+            lambda: compose_with_base(MEMBER2, MEMBER2),
+            "compose a member after an object of type VectorSpanMember",
+        ),
+        (lambda: compose_with_base(LINE, LINE), "compose a base before an object of type FunctionExpr"),
+        (lambda: expr_to_dict(MEMBER2), "serialize an object of type VectorSpanMember"),
+    ],
+    ids=[
+        "preimage", "evaluate_at", "evaluate_to_precision", "lift_dimension", "lift_dimension-str",
+        "project_lift", "project_lift-1", "compose_with_base-base", "compose_with_base-member",
+        "expr_to_dict",
+    ],
+)
+def test_a_non_tree_argument_is_a_domain_error(call, message):
+    # one check names the operation and the type it was handed
+    with pytest.raises(DomainError, match=f"^cannot {message}$"):
+        call()
 
 
 class TestEvaluate:
@@ -274,6 +310,34 @@ class TestEvaluate:
             evaluate_at(pipe, (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)), depth=10)
         preimage(pipe, (0.5, -1.0, 2.0), 1e-3)
         assert len(calls) == 1
+
+
+# (lifts, shape, target coordinate, eps, the whole inversion error): "projected"
+# reads 3 inputs, "member" is 1*Phi[1,...] - 1*Phi[2,...] after that projection
+CAP = "preimage depth {depth} exceeds cap 4096"
+INVERSION_ERRORS = [
+    (1, "bare", 1e300, 1e-200, CAP.format(depth=4334) + "{inner}"),
+    (1, "projected", 1e300, 1e-200, CAP.format(depth=4334) + "{inner}"),
+    (1, "member", 0.5, 5e-324,
+     "solve tolerance underflows to 0.0 in the sinh stage of phi_compose coordinate 1"),
+    (2, "bare", 0.5, 1e-306, CAP.format(depth=4107) + "{inner}{inner}"),
+    (2, "bare", 1e300, 1e-200, CAP.format(depth=4337) + "{pair}{inner}"),
+    (2, "projected", 0.5, 1e-306, CAP.format(depth=4107) + "{inner}{inner}"),
+    (2, "projected", 1e300, 1e-200, CAP.format(depth=4337) + "{pair}{inner}"),
+    (2, "member", 0.5, 1e-306, CAP.format(depth=4127) + "{inner}{inner}{member}"),
+    (3, "bare", 0.5, 1e-306, CAP.format(depth=4110) + "{pair}{inner}{inner}"),
+    (3, "bare", 0.5, 1e-200, CAP.format(depth=5399) + "{inner}{inner}{inner}"),
+    (3, "projected", 0.5, 1e-306, CAP.format(depth=4110) + "{pair}{inner}{inner}"),
+    (3, "projected", 0.5, 1e-200, CAP.format(depth=5399) + "{inner}{inner}{inner}"),
+    (3, "member", 0.5, 1e-306, CAP.format(depth=4130) + "{pair}{inner}{inner}{member}"),
+    (3, "member", 0.5, 1e-200, CAP.format(depth=5447) + "{inner}{inner}{inner}{member}"),
+    (4, "bare", 0.5, 1e-200, CAP.format(depth=5402) + "{pair}{inner}{inner}{inner}"),
+    (4, "bare", 0.5, 1e-150, CAP.format(depth=8151) + "{inner}{inner}{inner}{inner}"),
+    (4, "projected", 0.5, 1e-200, CAP.format(depth=5402) + "{pair}{inner}{inner}{inner}"),
+    (4, "projected", 0.5, 1e-150, CAP.format(depth=8151) + "{inner}{inner}{inner}{inner}"),
+    (4, "member", 0.5, 1e-200, CAP.format(depth=5450) + "{pair}{inner}{inner}{inner}{member}"),
+    (4, "member", 0.5, 1e-100, CAP.format(depth=5591) + "{inner}{inner}{inner}{inner}{member}"),
+]
 
 
 class TestPreimage:
@@ -372,16 +436,25 @@ class TestPreimage:
             r"^bracket expansion cap reached; .* in the sinh stage of phi_compose coordinate 1$"
         )):
             preimage(pipe, (1e6, 0.5), 1e-3)
-        chain = extend_to_line()
-        for _ in range(3):
-            chain = lift_dimension(chain)
-        # past the depth cap: the innermost lift's pair, then the curve under it
-        for eps, node in ((1e-306, "the pair of dim_lift"), (1e-200, "the inner map of dim_lift")):
-            with pytest.raises(ResourceError, match=(
-                rf"^preimage depth \d+ exceeds cap 4096 in {node}"
-                r"( in the inner map of dim_lift){2}$"
-            )):
-                preimage(chain, (0.5,) * 5, eps)
+        # past the depth cap, read from the stage that failed out to the root:
+        # a lift's pair, then one "inner map of dim_lift" per lift outside it
+        # (a projection adds none), then the member's inner map
+        pair, inner = " in the pair of dim_lift", " in the inner map of dim_lift"
+        member = " in the inner map of phi_compose"
+        for lifts, shape, y, eps, message in INVERSION_ERRORS:
+            expr = extend_to_line()
+            for _ in range(lifts):
+                expr = lift_dimension(expr)
+            n = expr.codomain_arity
+            if shape != "bare":
+                expr = project_lift(expr, 3)
+            if shape == "member":
+                family = make_diagonal_family([1.0, 2.0], n)
+                expr = compose_with_base(combine_members([1, -1], family), expr)
+            message = message.format(pair=pair, inner=inner, member=member)
+            with pytest.raises(ResourceError) as info:
+                preimage(expr, (y,) * n, eps)
+            assert str(info.value) == message, (lifts, shape, eps)
 
     def test_deep_tolerances_still_succeed_thanks_to_exact_witnesses(self):
         # the decoded parameter is an exact rational, so the forward value
@@ -415,7 +488,7 @@ def fraction_peano_point(t, depth):
 
 
 def fraction_peano_eval(t, depth):
-    """Reference for evaluate_at(PeanoLine(), ...), in Fraction arithmetic."""
+    """Reference for evaluate_at(extend_to_line(), ...), in Fraction arithmetic."""
     (x, y), est = fraction_peano_point(t, depth)
     return (float(x), float(y)), est
 
@@ -428,7 +501,7 @@ def fraction_lift_eval(t, depth):
 
 
 def fraction_peano_preimage(target, bits):
-    """Reference for PeanoLine._preimage, in Fraction arithmetic."""
+    """Reference for extend_to_line()._preimage, in Fraction arithmetic."""
     a, b = Fraction(target[0]), Fraction(target[1])
     n = max(1, math.ceil(max(abs(a), abs(b))))
     k = max(1, math.ceil(math.log2(4 * n) + bits))
@@ -448,7 +521,7 @@ reals = st.one_of(
 
 @given(t=reals, depth=st.integers(min_value=1, max_value=80))
 def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
-    result = evaluate_at(PeanoLine(), (t,), depth)
+    result = evaluate_at(LINE, (t,), depth)
     want, want_est = fraction_peano_eval(t, depth)
     assert float_bits(result.value) == float_bits(want)
     assert result.error_estimate.hex() == want_est.hex()
@@ -463,13 +536,13 @@ def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
 )
 def test_integer_preimage_matches_fraction_decode(target, tol):
     bits = -math.log2(tol)
-    witness = PeanoLine()._preimage(target, bits)
+    witness = LINE._preimage(target, bits)
     assert witness == fraction_peano_preimage(target, bits)
     assert type(witness[0]) is Fraction
 
 
 def decode_route_preimage(target, bits):
-    """Reference for PeanoLine._preimage_with_depth through the public codec:
+    """Reference for _line_preimage through the public codec:
     hilbert_decode of the target's position in the unit square, as t."""
     (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
     n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
@@ -500,7 +573,7 @@ def inversion_targets(draw):
 
 @given(target=inversion_targets(), bits=st.floats(min_value=0.0, max_value=80.0))
 def test_integer_inversion_matches_the_decode_route(target, bits):
-    (t,), k = PeanoLine()._preimage_with_depth(target, bits)
+    (t,), k = _line_preimage(target, bits)
     assert ((t,), k) == decode_route_preimage(target, bits)
     assert type(t) is Fraction
 
@@ -531,12 +604,12 @@ def test_limit_on_the_curve_is_the_entry_corner_of_the_cell(n):
         for i in range(4**k):
             corner = 2.0 * fine[4 * i] - coarse[i]
             t = Fraction(2 * n - 1, 2) + Fraction(i, 2 * 4**k)
-            assert limit_values(PeanoLine(), (t,)) == tuple(n * (2.0 * c - 1.0) for c in corner)
+            assert limit_values(LINE, (t,)) == tuple(n * (2.0 * c - 1.0) for c in corner)
 
 
 def test_limit_rejects_a_parameter_that_is_not_dyadic():
     with pytest.raises(DomainError):
-        limit_values(PeanoLine(), (Fraction(2, 3),))
+        limit_values(LINE, (Fraction(2, 3),))
 
 
 def limit_pipelines():
@@ -585,13 +658,6 @@ def test_limit_checked_witnesses_recheck_within_eps():
                     assert max(abs(v - y) for v, y in zip(value, target)) <= eps
                     cases += 1
     assert cases == 2400
-
-
-def tree_nodes(expr):
-    """expr and every node below it."""
-    yield expr
-    if hasattr(expr, "inner"):
-        yield from tree_nodes(expr.inner)
 
 
 def phi_tree(coefficient="1.0", exponent="2.0", lifts=0, project_to=1):
@@ -651,11 +717,10 @@ class TestSerialization:
         F = project_lift(lift_dimension(g), 2)
         member = make_diagonal_family([1.5], 3)[0]
         pipe = compose_with_base(member, F)
-        lifted = DimLift(lift_dimension(g))
-        for expr in (g, F, pipe, lifted):
+        for expr in (g, F, pipe, lifted(2)):
             data = expr_to_dict(expr)
             assert expr_from_dict(data) == expr
-            assert ("family" in data) == isinstance(expr, PhiCompose)
+            assert ("family" in data) == (expr.member is not None)
 
     def test_the_dict_is_a_spec_base_and_family(self):
         data = expr_to_dict(project_lift(extend_to_line(), 3))
@@ -720,7 +785,7 @@ class TestSerialization:
 
 
 def grammar_trees():
-    """Every tree the node rules admit: the line-to-plane map under 0 to 4
+    """Every tree the factories admit: the line-to-plane map under 0 to 4
     lifts, optionally projected to 2 to 6 inputs, optionally under a member."""
     for lifts in range(5):
         base = extend_to_line()
@@ -736,7 +801,9 @@ class TestGrammar:
     def test_every_admitted_tree_builds_and_walks(self):
         trees = set(grammar_trees())
         assert len(trees) == 60
-        assert max(len(list(tree_nodes(tree))) for tree in trees) == 7
+        # three fields say it all: at most 4 lifts, 6 inputs and one member
+        fields = {(tree.lifts, tree.arity, tree.member is not None) for tree in trees}
+        assert fields == {(n, m, b) for n in range(5) for m in range(1, 7) for b in (False, True)}
         for tree in trees:
             read = expr_from_dict(expr_to_dict(tree))
             assert read == tree and hash(read) == hash(tree)
@@ -747,10 +814,11 @@ class TestGrammar:
             value = evaluate_at(tree, point, 8).value
             assert len(value) == tree.codomain_arity and all(map(math.isfinite, value))
             assert evaluate_at(read, point, 8).value == value
-            # no node over an admitted tree builds one outside the set
+            # no factory over an admitted tree builds one outside the set
             n = tree.codomain_arity
-            builds = [lambda: DimLift(tree), lambda: PhiCompose(diagonal_member(n), tree)]
-            builds += [lambda m=m: ProjectLift(tree, m) for m in range(2, 7)]
+            builds = [lambda: lift_dimension(tree)]
+            builds += [lambda: compose_with_base(diagonal_member(n), tree)]
+            builds += [lambda m=m: project_lift(tree, m) for m in range(1, 7)]
             for build in builds:
                 try:
                     assert build() in trees
@@ -762,11 +830,8 @@ class TestGrammar:
         top = compose_with_base(member, lift_dimension(extend_to_line()))
         builds = [
             lambda: compose_with_base(member, top),
-            lambda: PhiCompose(member, top),
             lambda: lift_dimension(top),
-            lambda: DimLift(top),
             lambda: project_lift(top, 2),
-            lambda: ProjectLift(top, 2),
         ]
         for build in builds:
             with pytest.raises(StructuralError, match="^a span member applies at the root only$"):

@@ -12,19 +12,20 @@ from surjkit import (
     CellAddress,
     CoverageCertificate,
     CurveParam,
-    DimLift,
     DomainError,
     EvalResult,
-    PeanoLine,
-    PhiCompose,
+    FunctionExpr,
     PlanePoint,
-    ProjectLift,
     ResourceError,
     ScalarSpan,
     StructuralError,
     VectorSpanMember,
     Witness,
     component_reduce,
+    compose_with_base,
+    extend_to_line,
+    lift_dimension,
+    project_lift,
 )
 from surjkit.cli import SpecFile
 
@@ -33,32 +34,49 @@ BOX = BoxSpec(((-1.0, 1.0), (0.0, 2.0)), 3)
 WITNESS = Witness((0.5, 1.5), (Fraction(3, 4),), 1e-4)
 
 
-# class -> (keyword arguments of one instance, in constructor order; the same
-# with one field changed, which must compare unequal)
+# test id -> (class, keyword arguments of one instance, in constructor order;
+# the same with one field changed, which must compare unequal); a value class
+# is its own id, and the four tree shapes keep the ids of the node classes
+# they once were, so that these test names stay stable
 CASES = {
-    CurveParam: ({"numerator": 3, "depth": 2}, {"depth": 3}),
-    PlanePoint: ({"x": Fraction(1, 2), "y": Fraction(1, 4)}, {"y": Fraction(3, 4)}),
-    CellAddress: ({"depth": 2, "col": 1, "row": 3}, {"row": 2}),
-    ScalarSpan: ({"terms": ((1.0, 2.0), (-1.0, 1.0))}, {"terms": ((1.0, 2.0),)}),
-    Asymptotics: (
+    "CurveParam": (CurveParam, {"numerator": 3, "depth": 2}, {"depth": 3}),
+    "PlanePoint": (
+        PlanePoint, {"x": Fraction(1, 2), "y": Fraction(1, 4)}, {"y": Fraction(3, 4)}
+    ),
+    "CellAddress": (CellAddress, {"depth": 2, "col": 1, "row": 3}, {"row": 2}),
+    "ScalarSpan": (
+        ScalarSpan, {"terms": ((1.0, 2.0), (-1.0, 1.0))}, {"terms": ((1.0, 2.0),)}
+    ),
+    "Asymptotics": (
+        Asymptotics,
         {"at_plus_infinity": float("inf"), "at_minus_infinity": float("-inf")},
         {"at_plus_infinity": 0.0},
     ),
-    VectorSpanMember: ({"terms": ((1.0, (1.0, 2.0)),), "arity": 2}, {"terms": ()}),
-    PeanoLine: ({}, None),
-    DimLift: ({"inner": PeanoLine()}, {"inner": DimLift(PeanoLine())}),
-    ProjectLift: ({"inner": PeanoLine(), "arity": 3}, {"arity": 2}),
-    PhiCompose: (
-        {"member": MEMBER, "inner": PeanoLine()},
+    "VectorSpanMember": (
+        VectorSpanMember, {"terms": ((1.0, (1.0, 2.0)),), "arity": 2}, {"terms": ()}
+    ),
+    # the bare line-to-plane map, one lift, a projection, a member after a base
+    "PeanoLine": (FunctionExpr, {"lifts": 0, "arity": 1, "member": None}, {"lifts": 1}),
+    "DimLift": (FunctionExpr, {"lifts": 1, "arity": 1, "member": None}, {"lifts": 2}),
+    "ProjectLift": (FunctionExpr, {"lifts": 0, "arity": 3, "member": None}, {"arity": 2}),
+    "PhiCompose": (
+        FunctionExpr,
+        {"lifts": 0, "arity": 1, "member": MEMBER},
         {"member": VectorSpanMember(((2.0, (1.0, 2.0)),), 2)},
     ),
-    EvalResult: ({"value": (0.25, -0.5), "error_estimate": 1e-3}, {"error_estimate": 0.0}),
-    BoxSpec: ({"bounds": ((-1.0, 1.0), (0.0, 2.0)), "grid_points": 3}, {"grid_points": 4}),
-    Witness: (
+    "EvalResult": (
+        EvalResult, {"value": (0.25, -0.5), "error_estimate": 1e-3}, {"error_estimate": 0.0}
+    ),
+    "BoxSpec": (
+        BoxSpec, {"bounds": ((-1.0, 1.0), (0.0, 2.0)), "grid_points": 3}, {"grid_points": 4}
+    ),
+    "Witness": (
+        Witness,
         {"target": (0.5, 1.5), "preimage": (Fraction(3, 4),), "achieved_error": 1e-4},
         {"achieved_error": 2e-4},
     ),
-    CoverageCertificate: (
+    "CoverageCertificate": (
+        CoverageCertificate,
         {
             "function_id": "peano_line",
             "box": BOX,
@@ -69,9 +87,10 @@ CASES = {
         },
         {"status": "certified"},
     ),
-    SpecFile: (
+    "SpecFile": (
+        SpecFile,
         {
-            "pipeline": PhiCompose(MEMBER, PeanoLine()),
+            "pipeline": compose_with_base(MEMBER, extend_to_line()),
             "family_members": (MEMBER,),
             "certify_box": BOX,
             "certify_epsilon": 1e-3,
@@ -79,45 +98,45 @@ CASES = {
         {"certify_epsilon": None},
     ),
 }
-CLASSES = list(CASES)
+IDS = list(CASES)
 
 
-def make(cls, **changes):
-    return cls(**{**CASES[cls][0], **changes})
+def make(case, **changes):
+    cls, kwargs, _ = CASES[case]
+    return cls(**{**kwargs, **changes})
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_assignment_and_deletion_raise(cls):
-    obj = make(cls)
-    for name in list(CASES[cls][0]) + ["not_a_field"]:
+@pytest.mark.parametrize("case", IDS)
+def test_assignment_and_deletion_raise(case):
+    obj = make(case)
+    for name in list(CASES[case][1]) + ["not_a_field"]:
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
-    for name in CASES[cls][0]:
+    for name in CASES[case][1]:
         with pytest.raises(AttributeError):
             delattr(obj, name)
-    assert obj == make(cls)
+    assert obj == make(case)
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_equal_fields_compare_and_hash_equal(cls):
-    a, b = make(cls), make(cls)
+@pytest.mark.parametrize("case", IDS)
+def test_equal_fields_compare_and_hash_equal(case):
+    a, b = make(case), make(case)
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
-    changes = CASES[cls][1]
-    if changes is not None:
-        c = make(cls, **changes)
-        assert a != c and not a == c
+    c = make(case, **CASES[case][2])
+    assert a != c and not a == c
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_positional_and_keyword_construction_agree(cls):
-    kwargs = CASES[cls][0]
+@pytest.mark.parametrize("case", IDS)
+def test_positional_and_keyword_construction_agree(case):
+    cls, kwargs, _ = CASES[case]
     assert cls(*kwargs.values()) == cls(**kwargs)
 
 
 def test_instances_of_different_classes_never_compare_equal():
-    samples = [make(cls) for cls in CLASSES]
+    # the four tree shapes are one class with unequal fields
+    samples = [make(case) for case in IDS]
     for i, a in enumerate(samples):
         for j, b in enumerate(samples):
             assert (a == b) == (i == j)
@@ -126,36 +145,40 @@ def test_instances_of_different_classes_never_compare_equal():
     assert CurveParam(1, 1) != (1, 1)
     assert ScalarSpan(((1.0, 2.0),)) != ((1.0, 2.0),)
 
-    class Sub(PeanoLine):
+    class Sub(FunctionExpr):
         __slots__ = ()
 
-    assert Sub() != PeanoLine() and PeanoLine() != Sub()
+    assert Sub(0, 1, None) != extend_to_line() and extend_to_line() != Sub(0, 1, None)
 
 
 def test_fields_outside_comparison_are_ignored():
-    a, b = make(VectorSpanMember), make(VectorSpanMember)
+    a, b = make("VectorSpanMember"), make("VectorSpanMember")
     object.__setattr__(b, "spans", ())
     assert a == b and hash(a) == hash(b)
     assert "spans" not in repr(a)
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_repr_names_each_constructor_field(cls):
-    obj = make(cls)
-    shown = ", ".join(f"{name}={getattr(obj, name)!r}" for name in CASES[cls][0])
+@pytest.mark.parametrize("case", IDS)
+def test_repr_names_each_constructor_field(case):
+    cls, kwargs, _ = CASES[case]
+    obj = make(case)
+    shown = ", ".join(f"{name}={getattr(obj, name)!r}" for name in kwargs)
     assert repr(obj) == f"{cls.__name__}({shown})"
 
 
 def test_repr_examples():
     assert repr(CurveParam(4, 2)) == "CurveParam(numerator=1, depth=1)"
-    assert repr(PeanoLine()) == "PeanoLine()"
-    assert repr(DimLift(PeanoLine())) == "DimLift(inner=PeanoLine())"
+    assert repr(extend_to_line()) == "FunctionExpr(lifts=0, arity=1, member=None)"
+    assert repr(project_lift(lift_dimension(extend_to_line()), 3)) == (
+        "FunctionExpr(lifts=1, arity=3, member=None)"
+    )
     assert repr(EvalResult((0.5,), 0.0)) == "EvalResult(value=(0.5,), error_estimate=0.0)"
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_copy_and_pickle_keep_the_value(cls):
-    obj = make(cls)
+@pytest.mark.parametrize("case", IDS)
+def test_copy_and_pickle_keep_the_value(case):
+    cls = CASES[case][0]
+    obj = make(case)
     for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(clone) is cls and clone == obj and repr(clone) == repr(obj)
 
@@ -178,24 +201,26 @@ class TestValidation:
             CellAddress(1, 2, 0)
 
     def test_dim_lift_checks_arity_before_the_codomain_cap(self):
-        six = DimLift(DimLift(DimLift(DimLift(PeanoLine()))))
+        six = extend_to_line()
+        for _ in range(4):
+            six = lift_dimension(six)
         with pytest.raises(StructuralError):
-            DimLift(ProjectLift(six, 2))
+            lift_dimension(project_lift(six, 2))
         with pytest.raises(ResourceError, match="^codomain 7 exceeds cap 6$"):
-            DimLift(six)
+            lift_dimension(six)
         # a projection lift checks its inner map, then the arity's type, then the cap
         with pytest.raises(StructuralError):
-            ProjectLift(ProjectLift(PeanoLine(), 2), 7)
+            project_lift(project_lift(extend_to_line(), 2), 7)
         with pytest.raises(DomainError):
-            ProjectLift(PeanoLine(), 7.0)
+            project_lift(extend_to_line(), 7.0)
         with pytest.raises(ResourceError, match="^domain arity 7 exceeds cap 6$"):
-            ProjectLift(PeanoLine(), 7)
+            project_lift(extend_to_line(), 7)
 
     def test_project_lift_and_phi_compose_check_arities(self):
         with pytest.raises(DomainError):
-            ProjectLift(PeanoLine(), 0)
+            project_lift(extend_to_line(), 0)
         with pytest.raises(StructuralError):
-            PhiCompose(VectorSpanMember(((1.0, (1.0,)),), 1), PeanoLine())
+            compose_with_base(VectorSpanMember(((1.0, (1.0,)),), 1), extend_to_line())
 
     def test_vector_span_member_normalises_its_terms(self):
         v = VectorSpanMember(((1.0, (1, 2)), (2.0, (1.0, 2.0)), (1.0, (3, 3)), (0.0, (4, 4))), 2)
@@ -205,14 +230,15 @@ class TestValidation:
             VectorSpanMember(((1.0, (1.0,)),), 2)
 
     def test_phi_compose_reduces_its_spans(self):
-        # the member reduces them once, when it is built; the node keeps no copy
-        assert make(PhiCompose).member.spans == tuple(component_reduce(MEMBER))
-        assert PhiCompose.__slots__ == PhiCompose._fields
+        # the member reduces them once, when it is built; the tree keeps no copy
+        tree = compose_with_base(MEMBER, extend_to_line())
+        assert tree.member.spans == tuple(component_reduce(MEMBER))
+        assert FunctionExpr.__slots__ == FunctionExpr._fields
 
 
-@pytest.mark.parametrize("cls", CLASSES)
-def test_constructor_rejects_misbound_arguments(cls):
-    kwargs = CASES[cls][0]
+@pytest.mark.parametrize("case", IDS)
+def test_constructor_rejects_misbound_arguments(case):
+    cls, kwargs, _ = CASES[case]
     args = list(kwargs.values())
     with pytest.raises(TypeError):
         cls(*args, 0)
