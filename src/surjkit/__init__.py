@@ -18,10 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "curve": (
-        "CellAddress", "CurveParam", "PlanePoint", "curve_trace", "hilbert_decode",
-        "hilbert_encode", "modulus_bound",
-    ),
+    "curve": ("curve_trace", "hilbert_decode", "hilbert_encode"),
     "errors": (
         "DegenerateMemberError", "DomainError", "NoSolutionError", "RefinementError",
         "ResourceError", "StructuralError",

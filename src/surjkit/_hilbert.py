@@ -8,7 +8,7 @@ The codec is a four-state machine that reads a byte of the curve index
 (four base-4 digits) per table lookup (Warren, Hacker's Delight, section
 16; Skilling, "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004).
 It works on plain integers and imports only the error types, so `surjkit
-trace` runs without the exact value layer of surjkit.curve.
+trace` runs without surjkit.curve and its Fractions.
 """
 
 from __future__ import annotations

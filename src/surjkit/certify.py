@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from ._value import Value, set_field
 from .errors import DomainError, ResourceError, StructuralError
 from .spans import VectorSpanMember
-from .surjections import FunctionExpr, _checked_preimage, _expect, _sinh_stage, _sup_error
+from .surjections import (
+    FunctionExpr, _check_tolerance, _checked_preimage, _expect, _sinh_stage, _sup_error,
+)
 
 DEFAULT_TARGET_BUDGET = 100_000
 
@@ -121,8 +123,7 @@ def _witnesses(
     the grid is walked, not listed, so memory stays flat at any grid size.
     """
     _expect(f, (VectorSpanMember, FunctionExpr), "certify")
-    if not 0 < eps < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {eps}")
+    _check_tolerance(eps)
     if box.target_count > target_budget:
         raise DomainError(
             f"{box.target_count} targets exceed budget {target_budget}; "

@@ -4,7 +4,7 @@ Commands
 --------
 trace    --depth K --out PATH [--depth-cap N]
 eval     --spec PATH --point "v1,v2,..." [--depth K]
-certify  --spec PATH --report PATH [--budget N] [--seed S]
+certify  --spec PATH --report PATH [--budget N]
 
 Exit codes: 0 success; 1 certificate not certified or rank deficient;
 2 validation failure; 3 resource cap; 4 degenerate family member.
@@ -299,7 +299,7 @@ def cmd_certify(args) -> int:
 
     members = spec.family_members
     independence = independence_json(members) if len(members) >= 2 else None
-    settings = {"budget": budget, "seed": args.seed}
+    settings = {"budget": budget}
     status, _ = _write_report(
         args.report, spec.pipeline.describe(), box, eps, witnesses, independence, settings
     )
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--spec", required=True)
     p_cert.add_argument("--report", required=True)
     p_cert.add_argument("--budget", type=int, default=None)
-    p_cert.add_argument("--seed", type=int, default=None)
     p_cert.set_defaults(func=cmd_certify)
     return parser
 

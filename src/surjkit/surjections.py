@@ -32,9 +32,9 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ._hilbert import EVAL_DEPTH_CAP
+from ._hilbert import EVAL_DEPTH_CAP, _cell, _check_depth, _d2xy, _xy2d
 from ._value import Value
-from .curve import _cell, _check_depth, _d2xy, _ratio, _xy2d
+from .curve import _ratio
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -57,6 +57,16 @@ def _expect(value, kind, action: str):
     if not isinstance(value, kind):
         raise DomainError(f"cannot {action} an object of type {type(value).__name__}")
     return value
+
+
+def _check_tolerance(eps) -> None:
+    """DomainError unless eps is a positive finite real (text is not one)."""
+    try:
+        if 0 < eps < math.inf:
+            return
+    except TypeError:
+        pass
+    raise DomainError(f"tolerance must be positive and finite, got {eps!r}")
 
 
 class FunctionExpr(Value):
@@ -312,8 +322,7 @@ def evaluate_to_precision(
 ) -> EvalResult:
     """Deepen evaluation (depth 16, 32, ... up to the cap) until the chained
     error estimate meets precision."""
-    if not 0 < precision < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {precision}")
+    _check_tolerance(precision)
     point = tuple(point)
     depth = 16
     while depth <= EVAL_DEPTH_CAP:
@@ -358,11 +367,8 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     curve chains need more parameter resolution than a float carries.
     """
     _expect(expr, FunctionExpr, "invert")
-    if not 0 < eps < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {eps}")
-    target = tuple(float(y) for y in target)
-    if not all(map(math.isfinite, target)):
-        raise DomainError(f"target {target} is not finite")
+    _check_tolerance(eps)
+    target = tuple(p / q for p, q in map(_ratio, target))
     if len(target) != expr.codomain_arity:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"

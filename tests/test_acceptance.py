@@ -64,7 +64,7 @@ def test_criterion_2_continuity_modulus():
             s = min(max(t + rng.uniform(-gap, gap), 0.0), 1.0)
             _, pt = hilbert_encode(t, k)
             _, ps = hilbert_encode(s, k)
-            if max(abs(pt.x - ps.x), abs(pt.y - ps.y)) > bound:
+            if max(abs(pt[0] - ps[0]), abs(pt[1] - ps[1])) > bound:
                 violations += 1
     assert report(2, violations == 0, f"{violations} violations over 8x10^4 random pairs")
 

@@ -180,10 +180,10 @@ class TestTrace:
         rows = out.read_text().strip().splitlines()[1:]
         expected = curve_trace(3)
         assert len(rows) == len(expected)
-        for i, (row, point) in enumerate(zip(rows, expected)):
+        for i, (row, centre) in enumerate(zip(rows, expected)):
             t, x, y = (Fraction(part) for part in row.split(","))
             assert t == Fraction(i, 4**3)
-            assert (x, y) == (point.x, point.y)
+            assert (x, y) == centre
 
     @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 8])
     def test_streamed_rows_match_the_oracle(self, tmp_path, k):
@@ -347,14 +347,6 @@ class TestCertify:
         assert "rank 2/2" in out
         assert main(["certify", "--spec", spec, "--report", str(r2)]) == EXIT_OK
         assert r1.read_bytes() == r2.read_bytes()
-
-    def test_seed_is_recorded_and_deterministic(self, tmp_path):
-        spec = write_spec(tmp_path, CERTIFY_SPEC)
-        r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        assert main(["certify", "--spec", spec, "--report", str(r1), "--seed", "7"]) == EXIT_OK
-        assert main(["certify", "--spec", spec, "--report", str(r2), "--seed", "7"]) == EXIT_OK
-        assert r1.read_bytes() == r2.read_bytes()
-        assert json.loads(r1.read_text())["settings"]["seed"] == 7
 
     def test_missing_certify_section_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, BASE_ONLY)
@@ -559,7 +551,7 @@ class TestCertify:
                         "epsilon": "1e-9",
                     },
                 },
-                "1fa4adeed1876c6c4e7216b3eed2a480687467b46f4e69c494f9840de4e23251",
+                "0870c7f6e6072c0639b338e73ae9b7f70c47464a53e17cb82435d1772466a6e1",
                 id="plane-fine",
             ),
             pytest.param(
@@ -567,7 +559,7 @@ class TestCertify:
                     "base": {"construct": "extend_to_line", "lifts": 3},
                     "certify": {"box": [["-3", "3"]] * 5, "grid": 3, "epsilon": "1e-3"},
                 },
-                "a0a3e566b14ef5a22ca6af4f3ecce9e073932e2270a552d0779ac48a2c596c6e",
+                "dae2a64516a2f67c459f64699ee4f44e45ff63c8ba8416782635a0e6822f9e0c",
                 id="lifts-3",
             ),
             pytest.param(
@@ -575,7 +567,7 @@ class TestCertify:
                     "base": {"construct": "extend_to_line", "lifts": 4},
                     "certify": {"box": [["-3", "3"]] * 6, "grid": 3, "epsilon": "1e-3"},
                 },
-                "379dbeaf32c895e201b78fb76d5d6a92ff0bed7558f25bfad92df1b79bccf614",
+                "16a0868cdbada08d9cb393306313b87a1c67da9c31e633963e37a7ecff7a057f",
                 id="lifts-4",
             ),
             pytest.param(
@@ -583,7 +575,7 @@ class TestCertify:
                     "base": {"construct": "extend_to_line", "lifts": 1, "project_to": 4},
                     "certify": {"box": [["-3", "3"]] * 3, "grid": 3, "epsilon": "1e-3"},
                 },
-                "6224ecd4a4160a735221eba4ce2d3123a791790634a8380277c86a7f0ce42441",
+                "2c5b92425bed2d89b7022e47177d4417880c0c3870fdbb1e6bf2a3a13fe6c95f",
                 id="lifts-1-project-4",
             ),
         ],
@@ -615,7 +607,7 @@ def json_dump_form(text):
 
 def write_certificate(path, cert, independence=None, settings=None):
     """_write_report on a certificate's fields; the writer's (status, worst target)."""
-    settings = settings or {"budget": 7, "seed": None}
+    settings = settings or {"budget": 7}
     return _write_report(
         str(path), cert.function_id, cert.box, cert.epsilon, cert.witnesses, independence, settings
     )
@@ -641,18 +633,11 @@ def hand_built_certificate(witnesses, status="certified", worst_target=None):
 
 class TestReportFormat:
     @pytest.mark.parametrize(
-        "spec,extra",
-        [
-            (README_SPEC, []),
-            (README_SPEC, ["--seed", "7"]),
-            (BARE_CURVE_SPEC, []),
-            (TERMS_SPEC, []),
-        ],
-        ids=["readme", "readme-seed-7", "bare-curve", "terms"],
+        "spec", [README_SPEC, BARE_CURVE_SPEC, TERMS_SPEC], ids=["readme", "bare-curve", "terms"]
     )
-    def test_reports_are_the_indented_sorted_json_dump(self, tmp_path, spec, extra):
+    def test_reports_are_the_indented_sorted_json_dump(self, tmp_path, spec):
         report = tmp_path / "r.json"
-        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report), *extra]
+        argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report)]
         assert main(argv) == EXIT_OK
         text = report.read_text(encoding="utf-8")
         assert text == json_dump_form(text)
@@ -665,7 +650,7 @@ class TestReportFormat:
             Witness((0.0, -2.5), (Fraction(-1, 2**70), 5), 1e-300),
         ]
         cert = hand_built_certificate(witnesses, "failed", (-1.0, 2.5))
-        text = written_report(tmp_path, cert, settings={"budget": 7, "seed": 3})
+        text = written_report(tmp_path, cert, settings={"budget": 3})
         assert text == json_dump_form(text)
         data = json.loads(text)["certificate"]
         assert data["function"] == cert.function_id
@@ -745,7 +730,7 @@ class TestReportFormat:
         cert = hand_built_certificate(witnesses)
         tracemalloc.start()
         try:
-            write_certificate(tmp_path / "r.json", cert, None, {"budget": 100000, "seed": None})
+            write_certificate(tmp_path / "r.json", cert, None, {"budget": 100000})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

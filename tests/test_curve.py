@@ -12,17 +12,19 @@ from hypothesis import given, strategies as st
 import surjkit.curve
 import surjkit.surjections
 from surjkit import (
-    CurveParam,
+    BoxSpec,
     DomainError,
-    PlanePoint,
     ResourceError,
+    certify_surjective_on_box,
     curve_trace,
     evaluate_at,
+    evaluate_to_precision,
     extend_to_line,
     hilbert_decode,
     hilbert_encode,
-    modulus_bound,
+    preimage,
 )
+from surjkit.certify import _witnesses
 from surjkit.curve import _d2xy, _ratio, _trace_blocks, _xy2d
 from surjkit.surjections import EVAL_DEPTH_CAP
 from oracles import recursion_trace
@@ -33,41 +35,55 @@ DEPTH1_ORDER = [(0, 0), (0, 1), (1, 1), (1, 0)]
 
 
 class TestCurveParam:
+    """A curve parameter is a plain Fraction i/4^k, reduced canonically."""
+
     def test_equal_value_compares_equal_across_depths(self):
-        assert CurveParam(1, 1) == CurveParam(4, 2) == CurveParam(16, 3)
-        assert CurveParam(3, 2) != CurveParam(3, 3)
+        # the centre of the depth-3 cell entered at t = 1/4 lies in the cells
+        # entered there at depths 1 and 2 too: i/4^k at three depths, one value
+        _, centre = hilbert_encode(Fraction(1, 4), 3)
+        params = [hilbert_decode(centre, k) for k in (1, 2, 3)]
+        assert params == [Fraction(1, 4)] * 3
+        assert {(t.numerator, t.denominator) for t in params} == {(1, 4)}
+        assert len({hash(t) for t in params}) == 1
 
     def test_value(self):
-        assert CurveParam(3, 2).value == Fraction(3, 16)
-        assert CurveParam(0, 5).value == 0
-        assert CurveParam(4**3, 3).value == 1
+        assert hilbert_decode((Fraction(1, 4), Fraction(3, 4)), 1) == Fraction(1, 4)
+        assert hilbert_decode((0, 0), 5) == 0
+        assert hilbert_decode((1, 0), 3) == Fraction(4**3 - 1, 4**3)  # the final cell
+        for k in range(5):
+            for i in range(4**k):
+                _, centre = hilbert_encode(Fraction(i, 4**k), k)
+                t = hilbert_decode(centre, k)
+                assert type(t) is Fraction and t == Fraction(i, 4**k)
 
+    # a parameter num/4^dep outside [0, 1], or a negative depth
     @pytest.mark.parametrize("num,dep", [(-1, 2), (17, 2), (1, -1)])
     def test_out_of_range_rejected(self, num, dep):
         with pytest.raises(DomainError):
-            CurveParam(num, dep)
+            hilbert_encode(Fraction(num, 4 ** abs(dep)), dep)
 
 
 class TestEncode:
     @pytest.mark.parametrize("k", [0, 1, 3, 6])
     def test_zero_maps_to_origin_cell(self, k):
-        cell, point = hilbert_encode(0, k)
-        assert (cell.col, cell.row) == (0, 0)
+        cell, centre = hilbert_encode(0, k)
+        assert cell == (0, 0)
         half = Fraction(1, 2 ** (k + 1))
-        assert (point.x, point.y) == (half, half)
+        assert centre == (half, half)
+        assert all(type(v) is int for v in cell) and all(type(v) is Fraction for v in centre)
 
     @pytest.mark.parametrize("k", [0, 1, 3, 6])
     def test_one_maps_to_bottom_right_cell(self, k):
         cell, _ = hilbert_encode(1, k)
-        assert (cell.col, cell.row) == (2**k - 1, 0)
+        assert cell == (2**k - 1, 0)
 
     def test_quarter_hits_upper_left_quadrant(self):
         cell, _ = hilbert_encode(Fraction(1, 4), 1)
-        assert (cell.col, cell.row) == (0, 1)
+        assert cell == (0, 1)
 
     def test_depth1_order_is_the_hand_expansion(self):
         order = [hilbert_encode(Fraction(i, 4), 1)[0] for i in range(4)]
-        assert [(c.col, c.row) for c in order] == DEPTH1_ORDER
+        assert order == DEPTH1_ORDER
 
     def test_outside_unit_interval_rejected(self):
         for t in (1.5, -0.25, math.nan, math.inf, -math.inf):
@@ -79,7 +95,7 @@ class TestEncode:
         oracle = recursion_trace(k)
         for i in range(4**k):
             cell, _ = hilbert_encode(Fraction(i, 4**k), k)
-            assert (cell.col, cell.row) == (oracle[i, 0], oracle[i, 1])
+            assert cell == (oracle[i, 0], oracle[i, 1])
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_exhaustive_coverage(self, k):
@@ -91,10 +107,9 @@ class TestEncode:
         for _ in range(300):
             t = rng.random()
             for k in range(1, 8):
-                outer, _ = hilbert_encode(t, k)
-                inner, _ = hilbert_encode(t, k + 1)
-                assert inner.col // 2 == outer.col
-                assert inner.row // 2 == outer.row
+                (col, row), _ = hilbert_encode(t, k)
+                (inner_col, inner_row), _ = hilbert_encode(t, k + 1)
+                assert (inner_col // 2, inner_row // 2) == (col, row)
 
 
 class TestRatio:
@@ -128,34 +143,34 @@ class TestRatio:
 class TestDecode:
     def test_origin_decodes_to_zero(self):
         for k in (0, 1, 4, 8):
-            assert hilbert_decode(PlanePoint(Fraction(0), Fraction(0)), k) == CurveParam(0, k)
+            assert hilbert_decode((Fraction(0), Fraction(0)), k) == 0
 
     def test_upper_left_center_lands_in_second_quarter(self):
-        t = hilbert_decode(PlanePoint(Fraction(1, 4), Fraction(3, 4)), 1)
-        assert Fraction(1, 4) <= t.value < Fraction(1, 2)
+        t = hilbert_decode((Fraction(1, 4), Fraction(3, 4)), 1)
+        assert Fraction(1, 4) <= t < Fraction(1, 2)
 
     def test_round_trip_cell_contains_point(self):
         rng = random.Random(11)
         for _ in range(500):
-            p = PlanePoint(Fraction(rng.random()), Fraction(rng.random()))
+            x, y = Fraction(rng.random()), Fraction(rng.random())
             k = rng.randrange(1, 9)
-            t = hilbert_decode(p, k)
-            cell, _ = hilbert_encode(t, k)
+            t = hilbert_decode((x, y), k)
+            (col, row), _ = hilbert_encode(t, k)
             side = Fraction(1, 2**k)
-            assert cell.col * side <= p.x <= (cell.col + 1) * side
-            assert cell.row * side <= p.y <= (cell.row + 1) * side
+            assert col * side <= x <= (col + 1) * side
+            assert row * side <= y <= (row + 1) * side
 
     def test_dyadic_grid_round_trip(self):
         for k in range(1, 7):
             for i in range(4**k):
-                _, center = hilbert_encode(Fraction(i, 4**k), k)
-                assert hilbert_decode(center, k) == CurveParam(i, k)
+                _, centre = hilbert_encode(Fraction(i, 4**k), k)
+                assert hilbert_decode(centre, k) == Fraction(i, 4**k)
 
     def test_boundary_tie_breaks_to_lower_left(self):
         # (1/2, 1/2) touches all four depth-1 cells; the lower left wins
-        t = hilbert_decode(PlanePoint(Fraction(1, 2), Fraction(1, 2)), 1)
+        t = hilbert_decode((Fraction(1, 2), Fraction(1, 2)), 1)
         cell, _ = hilbert_encode(t, 1)
-        assert (cell.col, cell.row) == (0, 0)
+        assert cell == (0, 0)
 
     def test_outside_square_rejected(self):
         for p in ((1.5, 0.5), (math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5)):
@@ -188,13 +203,13 @@ class TestCodec:
 
 class TestTrace:
     def test_depth_zero_is_the_center(self):
-        assert curve_trace(0) == [PlanePoint(Fraction(1, 2), Fraction(1, 2))]
+        assert curve_trace(0) == [(Fraction(1, 2), Fraction(1, 2))]
 
     def test_depth_one(self):
         pts = curve_trace(1)
         assert len(pts) == 4
-        for a, b in zip(pts, pts[1:]):
-            assert max(abs(a.x - b.x), abs(a.y - b.y)) == Fraction(1, 2)
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            assert max(abs(ax - bx), abs(ay - by)) == Fraction(1, 2)
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_length_distinct_adjacent(self, k):
@@ -202,9 +217,8 @@ class TestTrace:
         assert len(pts) == 4**k
         assert len(set(pts)) == 4**k
         step = Fraction(1, 2**k)
-        for a, b in zip(pts, pts[1:]):
-            dx, dy = abs(a.x - b.x), abs(a.y - b.y)
-            assert sorted([dx, dy]) == [0, step]
+        for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+            assert sorted([abs(ax - bx), abs(ay - by)]) == [0, step]
 
     def test_depth_cap(self):
         with pytest.raises(ResourceError):
@@ -244,6 +258,29 @@ def test_a_depth_past_the_cap_is_refused_before_any_walk(call, monkeypatch):
             DEPTH_TAKERS[call](depth)
 
 
+PLANE_BOX = BoxSpec(((-1.0, 1.0), (-1.0, 1.0)), 2)
+# public calls given text, which float() would parse, or a value of the wrong shape
+NOT_A_NUMBER = {
+    "encode-text": lambda: hilbert_encode("0.5", 3),
+    "decode-text": lambda: hilbert_decode(("0.25", "0.75"), 1),
+    "decode-scalar": lambda: hilbert_decode(0.5, 3),
+    "decode-triple": lambda: hilbert_decode((0.1, 0.2, 0.3), 3),
+    "eval-text": lambda: evaluate_at(extend_to_line(), ("0.5",)),
+    "eval-bytes": lambda: evaluate_at(extend_to_line(), (b"0.5",)),
+    "preimage-text-target": lambda: preimage(extend_to_line(), ("1", "1"), 1e-3),
+    "preimage-text-eps": lambda: preimage(extend_to_line(), (1.0, 1.0), "1e-3"),
+    "precision-text-eps": lambda: evaluate_to_precision(extend_to_line(), (0.5,), "1e-3"),
+    "witnesses-text-eps": lambda: _witnesses(extend_to_line(), PLANE_BOX, "1e-3"),
+    "certify-text-eps": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, "1e-3"),
+}
+
+
+@pytest.mark.parametrize("call", NOT_A_NUMBER)
+def test_text_and_misshapen_inputs_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        NOT_A_NUMBER[call]()
+
+
 def test_a_trace_past_the_cap_is_refused_whatever_its_own_cap():
     # checked on the call, before the lazy walk makes a block
     with pytest.raises(ResourceError, match="^depth 4097 exceeds cap 4096$"):
@@ -251,10 +288,6 @@ def test_a_trace_past_the_cap_is_refused_whatever_its_own_cap():
 
 
 class TestModulus:
-    def test_formula_values(self):
-        assert modulus_bound(0) == 2.0
-        assert modulus_bound(3) == 0.25
-
     @pytest.mark.parametrize("k", range(1, 9))
     def test_random_pairs_respect_bound(self, k):
         rng = random.Random(1000 + k)
@@ -268,14 +301,14 @@ class TestModulus:
                 continue
             _, pt = hilbert_encode(t, k)
             _, ps = hilbert_encode(s, k)
-            assert max(abs(pt.x - ps.x), abs(pt.y - ps.y)) <= bound
+            assert max(abs(pt[0] - ps[0]), abs(pt[1] - ps[1])) <= bound
 
     def test_adjacent_params_are_adjacent_cells(self):
         for k in range(1, 7):
             for i in range(4**k - 1):
-                a, _ = hilbert_encode(Fraction(i, 4**k), k)
-                b, _ = hilbert_encode(Fraction(i + 1, 4**k), k)
-                assert abs(a.col - b.col) + abs(a.row - b.row) == 1
+                (ac, ar), _ = hilbert_encode(Fraction(i, 4**k), k)
+                (bc, br), _ = hilbert_encode(Fraction(i + 1, 4**k), k)
+                assert abs(ac - bc) + abs(ar - br) == 1
 
 
 @given(
@@ -283,15 +316,15 @@ class TestModulus:
     k=st.integers(min_value=0, max_value=8),
 )
 def test_encode_is_deterministic_and_total(num, k):
-    t = CurveParam(num, 6)
-    cell1, p1 = hilbert_encode(t, k)
-    cell2, p2 = hilbert_encode(t.value, k)
-    assert cell1 == cell2 and p1 == p2
-    assert 0 <= cell1.col < 2**k and 0 <= cell1.row < 2**k
+    t = Fraction(num, 4**6)
+    cell, centre = hilbert_encode(t, k)
+    # a dyadic parameter encodes alike as a Fraction, again, and as its exact float
+    assert hilbert_encode(t, k) == hilbert_encode(float(t), k) == (cell, centre)
+    assert 0 <= cell[0] < 2**k and 0 <= cell[1] < 2**k
 
 
 @given(st.integers(min_value=0, max_value=4**5 - 1))
 def test_decode_inverts_encode_on_grid(i):
     k = 5
-    _, center = hilbert_encode(Fraction(i, 4**k), k)
-    assert hilbert_decode(center, k).value == Fraction(i, 4**k)
+    _, centre = hilbert_encode(Fraction(i, 4**k), k)
+    assert hilbert_decode(centre, k) == Fraction(i, 4**k)

@@ -11,14 +11,13 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC_NAMES = [
-    "Asymptotics", "BoxSpec", "CellAddress", "CoverageCertificate", "CurveParam",
-    "DegenerateMemberError", "DomainError", "EvalResult", "FunctionExpr", "NoSolutionError",
-    "PlanePoint", "RefinementError", "ResourceError", "ScalarSpan", "StructuralError",
-    "VectorSpanMember", "Witness", "certify_surjective_on_box", "classify_asymptotics",
-    "combine_members", "component_reduce", "compose_with_base", "curve_trace",
-    "detect_degenerate", "evaluate_at", "evaluate_to_precision", "expr_from_dict",
-    "expr_to_dict", "extend_to_line", "hilbert_decode", "hilbert_encode", "lift_dimension",
-    "make_diagonal_family", "make_scalar_span", "modulus_bound", "phi_eval", "phi_inverse",
+    "Asymptotics", "BoxSpec", "CoverageCertificate", "DegenerateMemberError", "DomainError",
+    "EvalResult", "FunctionExpr", "NoSolutionError", "RefinementError", "ResourceError",
+    "ScalarSpan", "StructuralError", "VectorSpanMember", "Witness", "certify_surjective_on_box",
+    "classify_asymptotics", "combine_members", "component_reduce", "compose_with_base",
+    "curve_trace", "detect_degenerate", "evaluate_at", "evaluate_to_precision",
+    "expr_from_dict", "expr_to_dict", "extend_to_line", "hilbert_decode", "hilbert_encode",
+    "lift_dimension", "make_diagonal_family", "make_scalar_span", "phi_eval", "phi_inverse",
     "preimage", "project_lift", "scalar_solve", "support_rank",
 ]
 

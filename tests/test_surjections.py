@@ -505,7 +505,7 @@ def fraction_peano_preimage(target, bits):
     a, b = Fraction(target[0]), Fraction(target[1])
     n = max(1, math.ceil(max(abs(a), abs(b))))
     k = max(1, math.ceil(math.log2(4 * n) + bits))
-    u = hilbert_decode(((a + n) / (2 * n), (b + n) / (2 * n)), k).value
+    u = hilbert_decode(((a + n) / (2 * n), (b + n) / (2 * n)), k)
     return (Fraction(2 * n - 1, 2) + u / 2,)
 
 
@@ -548,7 +548,7 @@ def decode_route_preimage(target, bits):
     n = max(1, -(-abs(pa) // qa), -(-abs(pb) // qb))
     k = max(1, math.ceil(math.log2(4 * n) + bits))
     u = hilbert_decode((Fraction(pa + n * qa, 2 * n * qa), Fraction(pb + n * qb, 2 * n * qb)), k)
-    return (Fraction(((2 * n - 1) << 2 * u.depth) + u.numerator, 2 << 2 * u.depth),), k
+    return (Fraction(2 * n - 1, 2) + u / 2,), k
 
 
 @st.composite

@@ -9,13 +9,10 @@ import pytest
 from surjkit import (
     Asymptotics,
     BoxSpec,
-    CellAddress,
     CoverageCertificate,
-    CurveParam,
     DomainError,
     EvalResult,
     FunctionExpr,
-    PlanePoint,
     ResourceError,
     ScalarSpan,
     StructuralError,
@@ -39,11 +36,6 @@ WITNESS = Witness((0.5, 1.5), (Fraction(3, 4),), 1e-4)
 # is its own id, and the four tree shapes keep the ids of the node classes
 # they once were, so that these test names stay stable
 CASES = {
-    "CurveParam": (CurveParam, {"numerator": 3, "depth": 2}, {"depth": 3}),
-    "PlanePoint": (
-        PlanePoint, {"x": Fraction(1, 2), "y": Fraction(1, 4)}, {"y": Fraction(3, 4)}
-    ),
-    "CellAddress": (CellAddress, {"depth": 2, "col": 1, "row": 3}, {"row": 2}),
     "ScalarSpan": (
         ScalarSpan, {"terms": ((1.0, 2.0), (-1.0, 1.0))}, {"terms": ((1.0, 2.0),)}
     ),
@@ -142,7 +134,6 @@ def test_instances_of_different_classes_never_compare_equal():
             assert (a == b) == (i == j)
     # equal field values in another class, or a bare tuple, are not equal
     assert Witness((0.5,), (1,), 0.25) != EvalResult((0.5,), 0.25)
-    assert CurveParam(1, 1) != (1, 1)
     assert ScalarSpan(((1.0, 2.0),)) != ((1.0, 2.0),)
 
     class Sub(FunctionExpr):
@@ -167,7 +158,6 @@ def test_repr_names_each_constructor_field(case):
 
 
 def test_repr_examples():
-    assert repr(CurveParam(4, 2)) == "CurveParam(numerator=1, depth=1)"
     assert repr(extend_to_line()) == "FunctionExpr(lifts=0, arity=1, member=None)"
     assert repr(project_lift(lift_dimension(extend_to_line()), 3)) == (
         "FunctionExpr(lifts=1, arity=3, member=None)"
@@ -184,21 +174,9 @@ def test_copy_and_pickle_keep_the_value(case):
 
 
 class TestValidation:
-    def test_curve_param_is_canonical(self):
-        assert CurveParam(4, 2) == CurveParam(1, 1)
-        assert hash(CurveParam(4, 2)) == hash(CurveParam(1, 1))
-        with pytest.raises(DomainError):
-            CurveParam(17, 2)
-
-    def test_plane_point_and_box_convert_their_fields(self):
-        p = PlanePoint(0.5, 1)
-        assert type(p.x) is Fraction and p == PlanePoint(Fraction(1, 2), Fraction(1))
+    def test_box_converts_its_fields(self):
         box = BoxSpec([(-1, 1)], 2)
         assert box.bounds == ((-1.0, 1.0),) and type(box.bounds[0][0]) is float
-
-    def test_cell_address_checks_its_range(self):
-        with pytest.raises(DomainError):
-            CellAddress(1, 2, 0)
 
     def test_dim_lift_checks_arity_before_the_codomain_cap(self):
         six = extend_to_line()
