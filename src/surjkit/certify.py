@@ -16,6 +16,7 @@ import math
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._value import Value, set_field
+from .curve import _as_float
 from .errors import DomainError, ResourceError, StructuralError
 from .spans import VectorSpanMember
 from .surjections import (
@@ -35,7 +36,7 @@ class BoxSpec(Value):
     grid_points: int
 
     def __init__(self, bounds: Sequence[tuple[float, float]], grid_points: int):
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        bounds = tuple((_as_float(lo), _as_float(hi)) for lo, hi in bounds)
         if not isinstance(grid_points, int) or isinstance(grid_points, bool):
             raise DomainError(f"grid point count must be an integer, got {grid_points!r}")
         if grid_points < 2:

@@ -17,6 +17,14 @@ from ._hilbert import DEFAULT_DEPTH_CAP, _cell, _check_depth, _d2xy, _trace_bloc
 from .errors import DomainError
 
 
+def _as_float(x) -> float:
+    """float(x) for a real number x; text is refused, not parsed."""
+    # Decimal and numpy scalars convert; float() would also parse text
+    if not (hasattr(type(x), "__float__") or hasattr(type(x), "__index__")):
+        raise DomainError(f"{x!r} is not a real number")
+    return float(x)
+
+
 def _ratio(x) -> tuple[int, int]:
     """Exact (numerator, positive denominator) of a finite real number."""
     # the exact types first: the Rational check is an ABC lookup per call
@@ -28,10 +36,7 @@ def _ratio(x) -> tuple[int, int]:
             return x, 1
         if isinstance(x, Rational):
             return int(x.numerator), int(x.denominator)
-        # Decimal and numpy scalars convert; float() would also parse text
-        if not (hasattr(cls, "__float__") or hasattr(cls, "__index__")):
-            raise DomainError(f"{x!r} is not a real number")
-        x = float(x)
+        x = _as_float(x)
     if math.isfinite(x):
         return x.as_integer_ratio()
     raise DomainError(f"{x} is not a finite real")

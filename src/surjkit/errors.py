@@ -36,12 +36,4 @@ class DegenerateMemberError(ValueError):
 class RefinementError(RuntimeError):
     """The forward check of a preimage witness measured a residual above
     the tolerance. Forward evaluation is exact through every curve stage,
-    so this signals a bug rather than a depth to retry with.
-
-    Carries the witness and the residual it achieved.
-    """
-
-    def __init__(self, message: str, best_witness=None, achieved: float | None = None):
-        self.best_witness = best_witness
-        self.achieved = achieved
-        super().__init__(message)
+    so this signals a bug rather than a depth to retry with."""

@@ -22,7 +22,7 @@ error estimate; preimage inverts the tree analytically, returning exact
 rational parameter coordinates (floats cannot carry the depth a composed
 curve chain needs), and checks each witness by evaluating the limit map
 exactly at it. expr_to_dict writes a tree as a CLI spec's base and family
-sections, and expr_from_dict reads them back with the spec reader.
+sections, and expr_from_dict reads them back with _formats.read_spec.
 """
 
 from __future__ import annotations
@@ -64,9 +64,17 @@ def _check_tolerance(eps) -> None:
     try:
         if 0 < eps < math.inf:
             return
-    except TypeError:
+    except (TypeError, ValueError):  # text, or an array of tolerances
         pass
     raise DomainError(f"tolerance must be positive and finite, got {eps!r}")
+
+
+def _sequence(values, what: str) -> tuple:
+    """tuple(values); DomainError if values is not a sequence (a bare real, say)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a sequence of reals, got {values!r}") from None
 
 
 class FunctionExpr(Value):
@@ -246,10 +254,8 @@ def _sinh_stage(
     return roots, bounds
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _invert_pair(pair: tuple, bits: float) -> tuple[tuple[Fraction], int]:
-    """A lift's trailing line-to-plane inversion: ((s,), its curve depth)."""
-    return _line_preimage(pair, bits)
+# a lift's trailing line-to-plane inversion: ((s,), its curve depth)
+_invert_pair = functools.lru_cache(maxsize=_MEMO_SIZE)(_line_preimage)
 
 
 def _root_only(base: FunctionExpr) -> FunctionExpr:
@@ -310,7 +316,7 @@ def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_
     """Depth-k approximant of the expression at a point."""
     _expect(expr, FunctionExpr, "evaluate")
     _check_depth(depth, 1)
-    point = tuple(point)
+    point = _sequence(point, "point")
     if len(point) != expr.domain_arity:
         raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
     value, est = expr._eval(tuple(map(_ratio, point)), depth)
@@ -323,7 +329,7 @@ def evaluate_to_precision(
     """Deepen evaluation (depth 16, 32, ... up to the cap) until the chained
     error estimate meets precision."""
     _check_tolerance(precision)
-    point = tuple(point)
+    point = _sequence(point, "point")
     depth = 16
     while depth <= EVAL_DEPTH_CAP:
         result = evaluate_at(expr, point, depth)
@@ -368,7 +374,7 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     """
     _expect(expr, FunctionExpr, "invert")
     _check_tolerance(eps)
-    target = tuple(p / q for p, q in map(_ratio, target))
+    target = tuple(p / q for p, q in map(_ratio, _sequence(target, "target")))
     if len(target) != expr.codomain_arity:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"
@@ -376,105 +382,7 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     witness, res = _checked_preimage(expr, target, eps)
     if res <= eps:
         return witness
-    raise RefinementError(
-        f"residual {res:.3g} > eps {eps:.3g} at the forward check",
-        best_witness=witness,
-        achieved=res,
-    )
-
-
-# ---------------------------------------------------------------------------
-# reading outside JSON: the spec reader, which reads CLI specs and tree dicts
-
-
-def _check_keys(data, allowed: set, required: set, where: str) -> None:
-    if not isinstance(data, dict):
-        raise StructuralError(f"section '{where}' must be an object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise StructuralError(f"unknown keys {sorted(unknown)} in section '{where}'")
-    missing = required - set(data)
-    if missing:
-        raise StructuralError(f"missing keys {sorted(missing)} in section '{where}'")
-
-
-def _real(value, where: str) -> float:
-    x = math.nan  # a bool or an unparsable value is rejected with inf and nan
-    if not isinstance(value, bool):
-        try:
-            x = float(value)
-        except (TypeError, ValueError):
-            pass
-    if not math.isfinite(x):
-        raise StructuralError(f"expected a finite decimal string in '{where}', got {value!r}")
-    return x
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise StructuralError(f"expected an integer in '{where}', got {value!r}")
-    return value
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise StructuralError(f"expected a list in '{where}', got {value!r}")
-    return value
-
-
-def _terms(value, arity: int, where: str) -> tuple:
-    """The (coefficient, exponents) pairs of a list of term entries."""
-    terms = []
-    for i, entry in enumerate(_list(value, where)):
-        _check_keys(entry, {"coefficient", "exponents"}, {"coefficient", "exponents"},
-                    f"{where}[{i}]")
-        exps = tuple(_real(r, f"{where}.exponents")
-                     for r in _list(entry["exponents"], f"{where}.exponents"))
-        if len(exps) != arity:
-            raise StructuralError(f"{where}[{i}] has {len(exps)} exponents, base produces {arity}")
-        terms.append((_real(entry["coefficient"], f"{where}.coefficient"), exps))
-    return tuple(terms)
-
-
-def _read_pipeline(data: dict) -> tuple[FunctionExpr, tuple[VectorSpanMember, ...]]:
-    """The tree of a spec's base and family sections, and the diagonal basis
-    members its family combines (none for explicit terms)."""
-    base = data["base"]
-    _check_keys(base, {"construct", "lifts", "project_to"}, {"construct"}, "base")
-    if base["construct"] != "extend_to_line":
-        raise StructuralError(f"unknown base construct {base['construct']!r}")
-    lifts = _integer(base.get("lifts", 0), "base.lifts")
-    project_to = _integer(base.get("project_to", 1), "base.project_to")
-    if lifts < 0:
-        raise StructuralError("base.lifts must be non-negative")
-    pipeline: FunctionExpr = extend_to_line()
-    for _ in range(lifts):
-        pipeline = lift_dimension(pipeline)
-    pipeline = project_lift(pipeline, project_to)
-    if "family" not in data:
-        return pipeline, ()
-
-    codomain = pipeline.codomain_arity
-    family = data["family"]
-    _check_keys(family, {"diagonal_exponents", "coefficients", "terms"}, set(), "family")
-    if "terms" in family:
-        if "diagonal_exponents" in family or "coefficients" in family:
-            raise StructuralError("family takes either explicit terms or a diagonal basis")
-        member = VectorSpanMember(_terms(family["terms"], codomain, "family.terms"), codomain)
-        return compose_with_base(member, pipeline), ()
-    if "diagonal_exponents" not in family:
-        raise StructuralError("family needs diagonal_exponents or terms")
-    # looked up per call: a test replaces make_diagonal_family to see that none is built
-    from .spans import combine_members, make_diagonal_family
-
-    where = "family.diagonal_exponents"
-    exps = [_real(r, where) for r in _list(family["diagonal_exponents"], where)]
-    members = tuple(make_diagonal_family(exps, codomain))
-    raw = _list(family.get("coefficients", ["1"] * len(exps)), "family.coefficients")
-    coefficients = tuple(_real(c, "family.coefficients") for c in raw)
-    if len(coefficients) != len(members):
-        raise StructuralError("family.coefficients must match diagonal_exponents in length")
-    return compose_with_base(combine_members(coefficients, members), pipeline), members
+    raise RefinementError(f"residual {res:.3g} > eps {eps:.3g} at the forward check")
 
 
 def expr_to_dict(expr: FunctionExpr) -> dict:
@@ -495,5 +403,6 @@ def expr_from_dict(data: dict) -> FunctionExpr:
     section, key or value raises StructuralError naming its path
     (family.terms.exponents), a count past ARITY_CAP ResourceError, and a
     value a constructor refuses DomainError (a project_to of 0, say)."""
-    _check_keys(data, {"base", "family"}, {"base"}, "tree")
-    return _read_pipeline(data)[0]
+    from ._formats import read_spec
+
+    return read_spec(data, "tree").pipeline

@@ -30,7 +30,7 @@ from surjkit import (
     project_lift,
     support_rank,
 )
-from surjkit.cli import _write_report
+from surjkit._formats import _write_report
 from surjkit.surjections import _sup_error
 from oracles import bisect_solve, phi_highprec, rank_highprec
 

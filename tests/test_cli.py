@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import surjkit._formats
 import surjkit.certify
 import surjkit.cli
 import surjkit.spans
@@ -34,14 +35,13 @@ from surjkit import (
     make_diagonal_family,
     project_lift,
 )
+from surjkit._formats import _write_report, format_real
 from surjkit._hilbert import _TRACE_BLOCK
 from surjkit.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
-    _write_report,
-    format_real,
     main,
     parse_spec_file,
 )
@@ -455,7 +455,7 @@ class TestCertify:
             fh = open(file, mode, **kwargs)
             return FailingWrites(fh) if mode == "w" else fh
 
-        monkeypatch.setattr(surjkit.cli, "open", report_open, raising=False)
+        monkeypatch.setattr(surjkit._formats, "open", report_open, raising=False)
         spec = {
             "base": {"construct": "extend_to_line"},
             "certify": {"box": [["-10", "10"]] * 2, "grid": 20, "epsilon": "1e-3"},
@@ -895,7 +895,9 @@ TINY_README_SPEC = {  # the README spec on a grid of 2 per axis
 }
 
 # modules that only the eval and certify commands run
-CERTIFY_STACK = {"surjkit.spans", "surjkit.surjections", "surjkit.certify", "json"}
+CERTIFY_STACK = {
+    "surjkit._formats", "surjkit.spans", "surjkit.surjections", "surjkit.certify", "json"
+}
 
 
 def run_python(*args):

@@ -272,6 +272,18 @@ NOT_A_NUMBER = {
     "precision-text-eps": lambda: evaluate_to_precision(extend_to_line(), (0.5,), "1e-3"),
     "witnesses-text-eps": lambda: _witnesses(extend_to_line(), PLANE_BOX, "1e-3"),
     "certify-text-eps": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, "1e-3"),
+    "box-text": lambda: BoxSpec((("-1", "1"), ("-1", "1")), 2),
+    "box-bytes": lambda: BoxSpec(((b"-1", b"1"),), 2),
+    "eval-scalar": lambda: evaluate_at(extend_to_line(), 0.5),
+    "precision-scalar": lambda: evaluate_to_precision(extend_to_line(), 0.5, 1e-3),
+    "preimage-scalar": lambda: preimage(extend_to_line(), 0.5, 1e-3),
+    "preimage-array-eps": lambda: preimage(extend_to_line(), (0.5, 0.5), np.array([1e-3, 2e-3])),
+    "precision-array-eps": lambda: evaluate_to_precision(
+        extend_to_line(), (0.5,), np.array([1e-3, 2e-3])
+    ),
+    "certify-array-eps": lambda: certify_surjective_on_box(
+        extend_to_line(), PLANE_BOX, np.array([1e-3, 2e-3])
+    ),
 }
 
 

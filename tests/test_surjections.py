@@ -28,7 +28,7 @@ from surjkit import (
     preimage,
     project_lift,
 )
-from surjkit.cli import parse_spec_data
+from surjkit._formats import read_spec
 from surjkit.curve import _d2xy, _ratio
 from surjkit.surjections import _line_modulus, _line_preimage
 from oracles import covered_targets, line_map_points, recursion_centers, sweep_plane_cloud
@@ -808,7 +808,7 @@ class TestGrammar:
             read = expr_from_dict(expr_to_dict(tree))
             assert read == tree and hash(read) == hash(tree)
             assert read.describe() == tree.describe()
-            spec = parse_spec_data(expr_to_dict(tree)).pipeline
+            spec = read_spec(expr_to_dict(tree)).pipeline
             assert spec == tree and spec.describe() == tree.describe()
             point = (0.75,) + (2.0,) * (tree.domain_arity - 1)
             value = evaluate_at(tree, point, 8).value

@@ -24,7 +24,7 @@ from surjkit import (
     lift_dimension,
     project_lift,
 )
-from surjkit.cli import SpecFile
+from surjkit._formats import SpecFile
 
 MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)),), 2)
 BOX = BoxSpec(((-1.0, 1.0), (0.0, 2.0)), 3)
