@@ -7,6 +7,8 @@ lower-right corner, first quadrant step upward (LL -> UL -> UR -> LR).
 The codec is a four-state machine that reads a byte of the curve index
 (four base-4 digits) per table lookup (Warren, Hacker's Delight, section
 16; Skilling, "Programming the Hilbert curve", AIP Conf. Proc. 707, 2004).
+The trace enumerator builds no per-cell list: it hands out each run of
+256 cells as its high bits and the shared nibble tuples of its state.
 It works on plain integers and imports only the error types, so `surjkit
 trace` runs without surjkit.curve and its Fractions.
 """
@@ -123,11 +125,11 @@ def _cell(xn: int, xd: int, yn: int, yd: int, k: int) -> tuple[int, int]:
 
 
 def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:
-    """The depth-k walk in order, as blocks (start index, cols, rows).
+    """The depth-k walk in order, as the blocks of _walk_blocks.
 
-    Depth and cap are checked on the call, before any block is made; each
-    block holds at most _TRACE_BLOCK cells as lists, so memory stays flat
-    at any depth.
+    Depth and cap are checked on the call, before any block is made; a
+    block covers at most _TRACE_BLOCK cells and holds only shared run
+    tables, so memory stays flat at any depth.
     """
     _check_depth(k)
     if k > depth_cap:
@@ -138,13 +140,15 @@ def _trace_blocks(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> Iterator:
     return _walk_blocks(k)
 
 
-def _walk_blocks(k: int) -> Iterator[tuple[int, list[int], list[int]]]:
-    """_d2xy over every index, one aligned run of 256 cells per block.
+def _walk_blocks(k: int) -> Iterator[tuple[int, int, int, tuple[int, ...], tuple[int, ...]]]:
+    """_d2xy over every index, as blocks (start index, x high, y high,
+    x nibbles, y nibbles) whose cell j is (x high | x nibbles[j], y high |
+    y nibbles[j]): one aligned run of 256 cells each.
 
     A run shares its index bytes above the last, so one walk of those
-    gives its high nibbles and the state in which the run tables finish
-    it. Below depth 4 the single run is the first 4^k cells of one byte,
-    read with the padding of _d2xy.
+    gives its high bits and the state whose run tables, _RUN_X and _RUN_Y,
+    finish it. Below depth 4 the single run is the first 4^k cells of one
+    byte, read with the padding of _d2xy.
     """
     nbytes = (k + 3) >> 2 or 1
     pad_state = (4 * nbytes - k) & 1
@@ -156,9 +160,5 @@ def _walk_blocks(k: int) -> Iterator[tuple[int, list[int], list[int]]]:
             x = x << 4 | e >> 6
             y = y << 4 | e >> 2 & 15
             state = e & 3
-        x, y = x << 4, y << 4
-        yield (
-            start,
-            [x | dx for dx in _RUN_X[state][:cells]],
-            [y | dy for dy in _RUN_Y[state][:cells]],
-        )
+        # a slice past the end is the whole tuple itself, not a copy
+        yield start, x << 4, y << 4, _RUN_X[state][:cells], _RUN_Y[state][:cells]

@@ -28,6 +28,15 @@ DEFAULT_TARGET_BUDGET = 100_000
 Certifiable = Union[FunctionExpr, VectorSpanMember]
 
 
+def _bound(bound) -> tuple[float, float]:
+    """A box bound as (low, high) floats; any other shape is a DomainError."""
+    try:
+        lo, hi = bound
+    except (TypeError, ValueError):
+        raise DomainError(f"bound {bound!r} is not a (low, high) pair") from None
+    return _as_float(lo), _as_float(hi)
+
+
 class BoxSpec(Value):
     """Compact box with per-coordinate bounds and a per-coordinate grid count."""
 
@@ -36,7 +45,13 @@ class BoxSpec(Value):
     grid_points: int
 
     def __init__(self, bounds: Sequence[tuple[float, float]], grid_points: int):
-        bounds = tuple((_as_float(lo), _as_float(hi)) for lo, hi in bounds)
+        try:
+            pairs = iter(bounds)
+        except TypeError:
+            raise DomainError(f"bounds {bounds!r} are not (low, high) pairs") from None
+        bounds = tuple(map(_bound, pairs))
+        if not bounds:
+            raise DomainError("a box needs at least one (low, high) bound")
         if not isinstance(grid_points, int) or isinstance(grid_points, bool):
             raise DomainError(f"grid point count must be an integer, got {grid_points!r}")
         if grid_points < 2:
@@ -56,9 +71,9 @@ class BoxSpec(Value):
         return self.grid_points**self.arity
 
     def _axes(self) -> list[list[float]]:
-        """The grid values of each coordinate, low to high."""
-        count = self.grid_points
-        return [[lo + (hi - lo) * i / (count - 1) for i in range(count)] for lo, hi in self.bounds]
+        """The grid values of each coordinate, low to high, both ends exact."""
+        steps = self.grid_points - 1
+        return [[lo + (hi - lo) * i / steps for i in range(steps)] + [hi] for lo, hi in self.bounds]
 
     def targets(self) -> list[tuple[float, ...]]:
         return [tuple(p) for p in itertools.product(*self._axes())]

@@ -15,8 +15,9 @@ flat at any grid, and a failed run leaves no report (nor changes one).
 The spec and report formats belong to the private surjkit._formats.
 
 Each command imports what it runs: `trace` loads only the integer codec
-module `_hilbert` (not even `fractions`: its rows are written from integer
-digits), `eval` also loads `_formats` and the curve, spans and
+module `_hilbert` (not even `fractions`: a row's t is one integer sum
+over two per-depth digit tables, its x and y index the centre strings
+by the walk's nibble runs), `eval` also loads `_formats` and the curve, spans and
 surjections layers (and certify only for a spec with a `certify`
 section), and `certify` loads `_formats` and all four layers.
 """
@@ -96,14 +97,27 @@ def cmd_trace(args) -> int:
     k = args.depth
     blocks = _trace_blocks(k, depth_cap=args.depth_cap)
     coords = _unit_decimals(range(1, 2 << k, 2), k + 1)  # the centres (2c + 1) / 2^(k+1)
+    # t = i / 4^k has the 2k digits of i * 5^(2k). A block holds 4^b rows,
+    # i = hi * 4^b + lo, and lo * 5^(2k-2b) = carry * 4^b + rest splits
+    # i * 5^(2k) into hi * 5^(2k-2b) + carry (the first 2k - 2b digits)
+    # and the 2b digits of rest / 4^b, never all zero unless lo = 0.
+    b = min(k, 4)
+    scale = 5 ** (2 * (k - b))
+    carries, rests = zip(*(divmod(lo * scale, 1 << 2 * b) for lo in range(1 << 2 * b)))
+    tails = [digits[2:] for digits in _unit_decimals(rests, 2 * b)]
+    lead = 10 ** (2 * (k - b))  # a leading 1 that keeps the upper digits' zeros
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,y\n")
-        for start, cols, rows in blocks:
-            ts = _unit_decimals(range(start, start + len(cols)), 2 * k)  # t = i / 4^k
-            fh.write("".join(
-                f"{t},{coords[col]},{coords[row]}\n"
-                for t, col, row in zip(ts, cols, rows)
-            ))
+        for start, x, y, run_x, run_y in blocks:
+            base = lead + (start >> 2 * b) * scale
+            xs, ys = coords[x : x + 16], coords[y : y + 16]
+            lines = [
+                f"0.{str(base + carry)[1:]}{tail},{xs[dx]},{ys[dy]}\n"
+                for carry, tail, dx, dy in zip(carries, tails, run_x, run_y)
+            ]
+            t, _, xy = lines[0].partition(",")  # lo = 0 has no tail: strip the upper digits
+            lines[0] = f"{t.rstrip('0').rstrip('.')},{xy}"
+            fh.write("".join(lines))
     return EXIT_OK
 
 

@@ -81,10 +81,11 @@ def curve_trace(k: int, depth_cap: int = DEFAULT_DEPTH_CAP) -> list[tuple[Fracti
 
     Consecutive centres differ by exactly one coordinate step of 2^-k.
     """
-    blocks = _trace_blocks(k, depth_cap)  # checks k before the shift below
+    blocks = _trace_blocks(k, depth_cap)  # checks k before the shifts below
     denom = 2 << k
+    centres = [Fraction(2 * c + 1, denom) for c in range(1 << k)]
     return [
-        (Fraction(2 * col + 1, denom), Fraction(2 * row + 1, denom))
-        for _, cols, rows in blocks
-        for col, row in zip(cols, rows)
+        (centres[x | dx], centres[y | dy])
+        for _, x, y, run_x, run_y in blocks
+        for dx, dy in zip(run_x, run_y)
     ]

@@ -271,6 +271,20 @@ class TestCoverage:
             assert str(info.value).startswith(f"bound {bound} ")
         assert BoxSpec(((-1e307, 1e307),), 3).targets() == [(-1e307,), (0.0,), (1e307,)]
 
+    def test_each_axis_runs_from_low_to_high_with_both_ends_exact(self):
+        # low + (high - low) * i / (grid - 1) can round past high at the last i
+        rng = random.Random(11)
+        for _ in range(500):
+            bounds = []
+            for _ in range(2):
+                lo = round(rng.uniform(-100, 100), 5)
+                bounds.append((lo, round(lo + rng.uniform(1e-3, 200), 5)))
+            targets = BoxSpec(bounds, rng.randint(2, 61)).targets()
+            assert targets[0] == tuple(lo for lo, _ in bounds)
+            assert targets[-1] == tuple(hi for _, hi in bounds)
+            for target in targets:
+                assert all(lo <= x <= hi for x, (lo, hi) in zip(target, bounds))
+
     def test_box_arity_and_object_type_are_checked(self):
         box = BoxSpec(((-1, 1),) * 3, 2)
         for f in (extend_to_line(), make_diagonal_family([1.0], 2)[0]):

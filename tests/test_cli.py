@@ -158,6 +158,13 @@ class TestDyadicDecimal:
             assert Fraction(dyadic_decimal(value)) == value
 
 
+# depth -> (bytes, sha256) of the trace CSV, beyond the oracle tests' reach
+DEEP_TRACES = {
+    9: (12_058_630, "4598b3f037bca08a1ced2375e14ae6140ff212311594c04e99539a345c8850ed"),
+    10: (52_428_806, "0a13a6ae07295f9d40886930a95cf9159422ee58ccc4723fba0bc2ae07207180"),
+}
+
+
 class TestTrace:
     def test_depth_one_writes_four_rows(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -185,7 +192,7 @@ class TestTrace:
             assert t == Fraction(i, 4**3)
             assert (x, y) == centre
 
-    @pytest.mark.parametrize("k", [0, 1, 3, 4, 5, 8])
+    @pytest.mark.parametrize("k", range(9))
     def test_streamed_rows_match_the_oracle(self, tmp_path, k):
         out = tmp_path / "trace.csv"
         assert main(["trace", "--depth", str(k), "--out", str(out)]) == EXIT_OK
@@ -199,6 +206,13 @@ class TestTrace:
         for i, (row, (x, y)) in enumerate(zip(rows, centers)):
             values = (Fraction(i, 4**k), Fraction(x), Fraction(y))
             assert row == ",".join(dyadic_decimal(v) for v in values)
+
+    @pytest.mark.parametrize("k", sorted(DEEP_TRACES))
+    def test_deep_trace_bytes_are_pinned(self, tmp_path, k):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--depth", str(k), "--out", str(out)]) == EXIT_OK
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == DEEP_TRACES[k]
 
     def test_trace_memory_stays_within_a_block(self, tmp_path):
         # the rows are written a 256-cell block at a time; the first call

@@ -274,6 +274,11 @@ NOT_A_NUMBER = {
     "certify-text-eps": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, "1e-3"),
     "box-text": lambda: BoxSpec((("-1", "1"), ("-1", "1")), 2),
     "box-bytes": lambda: BoxSpec(((b"-1", b"1"),), 2),
+    "box-flat-pair": lambda: BoxSpec((1, 2), 2),
+    "box-scalar": lambda: BoxSpec(5, 2),
+    "box-triple": lambda: BoxSpec(((1, 2, 3),), 2),
+    "box-single": lambda: BoxSpec(((1,),), 2),
+    "box-empty": lambda: BoxSpec((), 2),
     "eval-scalar": lambda: evaluate_at(extend_to_line(), 0.5),
     "precision-scalar": lambda: evaluate_to_precision(extend_to_line(), 0.5, 1e-3),
     "preimage-scalar": lambda: preimage(extend_to_line(), 0.5, 1e-3),
