@@ -9,7 +9,6 @@ from surjkit import (
     make_diagonal_family,
     make_scalar_span,
     phi_eval,
-    phi_inverse,
     scalar_solve,
     support_rank,
 )
@@ -18,7 +17,7 @@ from surjkit import (
 print("phi_1(0) =", phi_eval(1.0, 0.0))
 print("phi_1(1) =", phi_eval(1.0, 1.0))
 print("phi_2(-3) = -phi_2(3):", phi_eval(2.0, -3.0), "=", -phi_eval(2.0, 3.0))
-print("inverse: phi_3^{-1}(5) =", phi_inverse(3.0, 5.0))
+print("inverse: phi_3^{-1}(5) =", scalar_solve(make_scalar_span([(1.0, 3.0)]), 5.0, 1e-12))
 
 # Combinations keep surjectivity: the largest exponent dominates, so a
 # nonzero span still runs from -inf to +inf (or the reverse).

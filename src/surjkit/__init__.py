@@ -26,7 +26,7 @@ _EXPORTS = {
     "spans": (
         "Asymptotics", "ScalarSpan", "VectorSpanMember", "classify_asymptotics",
         "combine_members", "component_reduce", "detect_degenerate", "make_diagonal_family",
-        "make_scalar_span", "phi_eval", "phi_inverse", "scalar_solve",
+        "make_scalar_span", "phi_eval", "scalar_solve",
     ),
     "surjections": (
         "EvalResult", "FunctionExpr", "compose_with_base", "evaluate_at", "evaluate_to_precision",

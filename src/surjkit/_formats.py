@@ -7,8 +7,9 @@ pipeline: a factory constructor chain, optionally followed by a span
 member built from diagonal basis coefficients or explicit terms. read_spec
 builds that tree as it reads, so the codomain cap refuses a spec before
 any member is built, and the members and the box take their arity from
-the tree. This module loads only the standard library, _value and errors;
-the pipeline and certificate layers load in the functions that run them.
+the tree. The report is one json.dumps with the witness rows spliced in.
+This module loads only the standard library, _value and errors; the
+pipeline and certificate layers load in the functions that run them.
 """
 
 from __future__ import annotations
@@ -178,13 +179,6 @@ def read_spec(data, where: str = "spec") -> SpecFile:
     return SpecFile(pipeline, members, box, epsilon)
 
 
-def _block(value, level: int) -> str:
-    """value as json.dump(..., indent=2, sort_keys=True) writes it at a nesting level."""
-    import json
-
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
-
-
 def _write_report(
     path: str, function_id: str, box: BoxSpec, epsilon: float, witnesses: Iterable[Witness],
     independence: Optional[dict], settings: dict,
@@ -194,20 +188,22 @@ def _write_report(
 
     The bytes are json.dump(..., indent=2, sort_keys=True)'s. Each witness's
     text goes to a spool, path + ".part" unlinked once open, and the status
-    is folded on the way; then that name takes the header, the spool's copy
-    and the trailer, and replaces path: no witness is kept, and a failed run
-    leaves path as it was (a kill mid-copy leaves path + ".part" beside it).
+    is folded on the way; then that name takes the spool's copy inside one
+    json.dumps of the report with an empty witness list, and replaces path:
+    no witness is kept, and a failed run leaves path as it was (a kill
+    mid-copy leaves path + ".part" beside it).
 
-    Every value is a string, int, bool or null; the reals are written by
-    format_real and exact_string, which need no escaping. A witness's lists
-    are never empty: a target has the box's arity and a preimage the
-    pipeline's domain arity.
+    Every value is a string, int, bool or null. The rows are hand-written, as
+    json.dumps with an indent runs the pure-Python encoder; their reals come
+    from format_real and exact_string, which need no escaping, and their
+    lists are never empty (a target has the box's arity and a preimage the
+    pipeline's domain arity).
 
     Targets are box grid values, so each grid value is formatted once and
     looked up by value. Zero is left out, as -0.0 == 0.0 share a key but
     print apart; a value off the grid is formatted where it is met.
     """
-    from json.encoder import encode_basestring_ascii
+    import json
     from .certify import _verdict
 
     grid_text = {x: format_real(x) for axis in box._axes() for x in axis if x}
@@ -241,24 +237,19 @@ def _write_report(
         spool.seek(0)
         bounds = [[format_real(lo), format_real(hi)] for lo, hi in box.bounds]
         shown = None if worst is None else [format_real(x) for x in worst]
+        certificate = {"box": {"bounds": bounds, "grid_points": box.grid_points},
+                       "epsilon": format_real(epsilon), "function": function_id,
+                       "status": status, "witnesses": [], "worst_target": shown}
+        report = {"certificate": certificate, "independence": independence, "settings": settings}
+        # a quote inside a string value is escaped to \", so only the key can match
+        head, _, tail = json.dumps(report, indent=2, sort_keys=True).partition('"witnesses": []')
         fh = open(part, "w", encoding="utf-8")  # the spool's name is free again
         try:
             with fh:
-                fh.write(
-                    '{\n  "certificate": {\n'
-                    f'    "box": {_block({"bounds": bounds, "grid_points": box.grid_points}, 2)},\n'
-                    f'    "epsilon": "{format_real(epsilon)}",\n'
-                    f'    "function": {encode_basestring_ascii(function_id)},\n'
-                    f'    "status": {encode_basestring_ascii(status)},\n'
-                    '    "witnesses": ['
-                )
+                fh.write(head + '"witnesses": [')
                 while chunk := spool.read(1 << 16):
                     fh.write(chunk)
-                fh.write(
-                    f',\n    "worst_target": {_block(shown, 2)}\n  }},\n'
-                    f'  "independence": {_block(independence, 1)},\n'
-                    f'  "settings": {_block(settings, 1)}\n}}\n'
-                )
+                fh.write(tail + "\n")
             os.replace(part, path)
         except BaseException:
             os.remove(part)

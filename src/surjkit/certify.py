@@ -140,6 +140,8 @@ def _witnesses(
     """
     _expect(f, (VectorSpanMember, FunctionExpr), "certify")
     _check_tolerance(eps)
+    if not isinstance(target_budget, int) or isinstance(target_budget, bool):
+        raise DomainError(f"target budget must be an integer, got {target_budget!r}")
     if box.target_count > target_budget:
         raise DomainError(
             f"{box.target_count} targets exceed budget {target_budget}; "

@@ -31,15 +31,6 @@ def phi_eval(r: float, t: float) -> float:
         return math.inf if t > 0 else -math.inf
 
 
-def phi_inverse(r: float, y: float) -> float:
-    """The unique t with phi_eval(r, t) = y, via t = arsinh(y/2) / r."""
-    if not r > 0:
-        raise DomainError(f"exponent must be positive, got {r}")
-    if not math.isfinite(y):
-        raise DomainError(f"value must be finite, got {y}")
-    return math.asinh(y / 2.0) / r
-
-
 class ScalarSpan(Value):
     """Normalized combination sum(alpha_i * phi_{r_i}), exponents strictly decreasing.
 
@@ -83,8 +74,6 @@ class ScalarSpan(Value):
             return math.copysign(math.inf, self.terms[0][0] * t)
         return total
 
-    __call__ = value
-
     def derivative_bound(self, lo: float, hi: float) -> float:
         """Upper bound on |d/dt| over [lo, hi] (derivative is r*(e^rt + e^-rt))."""
         span = max(abs(lo), abs(hi))
@@ -95,12 +84,6 @@ class ScalarSpan(Value):
             except OverflowError:
                 return math.inf
         return total
-
-    def scaled(self, factor: float) -> "ScalarSpan":
-        return make_scalar_span([(factor * a, r) for a, r in self.terms])
-
-    def plus(self, other: "ScalarSpan") -> "ScalarSpan":
-        return make_scalar_span(list(self.terms) + list(other.terms))
 
     def describe(self) -> str:
         if self.is_zero:

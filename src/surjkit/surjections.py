@@ -177,10 +177,12 @@ def _line_eval(point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         index = (u << 2 * depth) // q  # floor((2t - 2i - 1) * 4^depth)
         col, row = _d2xy(depth, index)
         side = 1 << depth
-        return (
-            ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)),
-            float(2 * n) * 2.0 ** (-depth),
-        )
+        # never below 2n / side, nor 0: ldexp rounds to nearest, and may round
+        # down below the normal floats (past depth 1022) or for n past 2**52
+        est = math.ldexp(2 * n, -depth)
+        if math.ldexp(est, depth) < 2 * n:
+            est = math.nextafter(est, math.inf)
+        return ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)), est
     e = q.bit_length() - 1
     if q != 1 << e:
         raise DomainError("the limit map is evaluated at dyadic parameters only")

@@ -264,6 +264,14 @@ class TestEval:
         assert main(["eval", "--spec", spec, *point, "--depth", "5"]) == EXIT_OK
         assert capsys.readouterr().out != default  # the depth is read
 
+    def test_a_deep_eval_never_prints_a_zero_error(self, tmp_path, capsys):
+        # past depth 1074 the curve's 2n / 2^depth is below the smallest float
+        data = {"base": {"construct": "extend_to_line", "lifts": 4}, "family": README_SPEC["family"]}
+        spec = write_spec(tmp_path, data)
+        assert main(["eval", "--spec", spec, "--point", "1.8", "--depth", "1100"]) == EXIT_OK
+        error = capsys.readouterr().out.splitlines()[1]
+        assert error.startswith("error ") and float(error.split()[1]) > 0.0
+
     def test_trailing_coordinates_do_not_matter(self, tmp_path, capsys):
         spec = write_spec(tmp_path, PROJECTION_SPEC)
         assert main(["eval", "--spec", spec, "--point", "1.25,7,9"]) == EXIT_OK
@@ -704,6 +712,24 @@ class TestReportFormat:
         text = written_report(tmp_path, hand_built_certificate([]), independence)
         assert text == json_dump_form(text)
         assert '"witnesses": [],' in text
+
+    def test_a_function_holding_the_witness_key_reads_back(self, tmp_path):
+        # the writer splits one json.dumps at the witness list; in a value the
+        # key's quotes are escaped, and the independence block comes after it
+        cert = CoverageCertificate(
+            function_id='line "witnesses": [] end',
+            box=BoxSpec(((-1.0, 1.0), (-2.5, 2.5)), 3),
+            epsilon=1e-3,
+            witnesses=(Witness((-1.0, 2.5), (Fraction(7, 3),), 1e-4),),
+            status="certified",
+            worst_target=None,
+        )
+        text = written_report(tmp_path, cert, {"witnesses": []})
+        assert text == json_dump_form(text)
+        data = json.loads(text)
+        assert data["certificate"]["function"] == cert.function_id
+        assert len(data["certificate"]["witnesses"]) == 1
+        assert data["independence"] == {"witnesses": []}
 
     def test_signed_zero_and_off_grid_targets(self, tmp_path):
         # both box axes hold 0.0 on the grid; -0.0 equals it but prints apart

@@ -272,6 +272,10 @@ NOT_A_NUMBER = {
     "precision-text-eps": lambda: evaluate_to_precision(extend_to_line(), (0.5,), "1e-3"),
     "witnesses-text-eps": lambda: _witnesses(extend_to_line(), PLANE_BOX, "1e-3"),
     "certify-text-eps": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, "1e-3"),
+    "budget-none": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, 1e-3, None),
+    "budget-text": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, 1e-3, "100"),
+    "budget-float": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, 1e-3, 100.5),
+    "budget-bool": lambda: certify_surjective_on_box(extend_to_line(), PLANE_BOX, 1e-3, True),
     "box-text": lambda: BoxSpec((("-1", "1"), ("-1", "1")), 2),
     "box-bytes": lambda: BoxSpec(((b"-1", b"1"),), 2),
     "box-flat-pair": lambda: BoxSpec((1, 2), 2),

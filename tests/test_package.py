@@ -17,8 +17,8 @@ PUBLIC_NAMES = [
     "classify_asymptotics", "combine_members", "component_reduce", "compose_with_base",
     "curve_trace", "detect_degenerate", "evaluate_at", "evaluate_to_precision",
     "expr_from_dict", "expr_to_dict", "extend_to_line", "hilbert_decode", "hilbert_encode",
-    "lift_dimension", "make_diagonal_family", "make_scalar_span", "phi_eval", "phi_inverse",
-    "preimage", "project_lift", "scalar_solve", "support_rank",
+    "lift_dimension", "make_diagonal_family", "make_scalar_span", "phi_eval", "preimage",
+    "project_lift", "scalar_solve", "support_rank",
 ]
 
 # run in a fresh interpreter, so that no other test has imported a submodule

@@ -279,6 +279,20 @@ class TestEvaluate:
         with pytest.raises(ResourceError):
             evaluate_at(extend_to_line(), (0.7,), depth=8192)
 
+    @pytest.mark.parametrize("depth", [1075, 1100, 4096])
+    def test_an_estimate_below_the_floats_rounds_up_not_to_zero(self, depth):
+        # t = 1.8 lies on the curve over B_2, so the estimate is 2n / 2^depth = 4 / 2^depth
+        est = evaluate_at(extend_to_line(), (1.8,), depth).error_estimate
+        assert est > 0.0
+        assert Fraction(est) >= Fraction(4, 2**depth)
+
+    def test_a_precision_no_depth_reaches_is_refused(self):
+        g = extend_to_line()
+        for _ in range(4):
+            g = lift_dimension(g)
+        with pytest.raises(ResourceError, match="could not reach precision 1e-300"):
+            evaluate_to_precision(g, (1.8,), 1e-300)
+
     def test_request_validation(self):
         g = extend_to_line()
         with pytest.raises(DomainError):
