@@ -7,7 +7,7 @@ pipeline: a factory constructor chain, optionally followed by a span
 member built from diagonal basis coefficients or explicit terms. read_spec
 builds that tree as it reads, so the codomain cap refuses a spec before
 any member is built, and the members and the box take their arity from
-the tree. The report is one json.dumps with the witness rows spliced in.
+the tree. The report is one json.dumps with certify's witness rows spliced in.
 This module loads only the standard library, _value and errors; the
 pipeline and certificate layers load in the functions that run them.
 """
@@ -22,7 +22,7 @@ from ._value import Value
 from .errors import StructuralError
 
 if TYPE_CHECKING:
-    from .certify import BoxSpec, Witness
+    from .certify import BoxSpec
     from .spans import VectorSpanMember
     from .surjections import FunctionExpr
 
@@ -33,11 +33,11 @@ def format_real(x: float) -> str:
 
 
 def exact_string(x) -> str:
-    """Lossless textual form: p/q for rationals, repr for floats."""
+    """Lossless textual form: p/q for an exact (p, q) pair, str for ints, repr for floats."""
+    if type(x) is tuple:
+        return f"{x[0]}/{x[1]}"
     if isinstance(x, int):
         return str(x)
-    if hasattr(x, "denominator"):  # a Fraction, told apart without importing fractions
-        return f"{x.numerator}/{x.denominator}"
     return repr(float(x))
 
 
@@ -180,13 +180,13 @@ def read_spec(data, where: str = "spec") -> SpecFile:
 
 
 def _write_report(
-    path: str, function_id: str, box: BoxSpec, epsilon: float, witnesses: Iterable[Witness],
+    path: str, function_id: str, box: BoxSpec, epsilon: float, rows: Iterable[tuple],
     independence: Optional[dict], settings: dict,
 ) -> tuple[str, Optional[tuple[float, ...]]]:
     """Write the report to path; return its (status, worst target), as
     certify_surjective_on_box folds them.
 
-    The bytes are json.dump(..., indent=2, sort_keys=True)'s. Each witness's
+    The bytes are json.dump(..., indent=2, sort_keys=True)'s. Each row's
     text goes to a spool, path + ".part" unlinked once open, and the status
     is folded on the way; then that name takes the spool's copy inside one
     json.dumps of the report with an empty witness list, and replaces path:
@@ -197,7 +197,8 @@ def _write_report(
     json.dumps with an indent runs the pure-Python encoder; their reals come
     from format_real and exact_string, which need no escaping, and their
     lists are never empty (a target has the box's arity and a preimage the
-    pipeline's domain arity).
+    pipeline's domain arity). An exact (p, q) pair's decimal is p / q, which
+    is correctly rounded, as float(Fraction(p, q)) is.
 
     Targets are box grid values, so each grid value is formatted once and
     looked up by value. Zero is left out, as -0.0 == 0.0 share a key but
@@ -211,23 +212,25 @@ def _write_report(
 
     def spooled(spool):
         lead = "\n"
-        for w in witnesses:
+        for target, point, error in rows:
+            exact = [exact_string(x) for x in point]
+            decimal = [format_real(x[0] / x[1] if type(x) is tuple else x) for x in point]
             spool.write(
                 f'{lead}      {{\n'
-                f'        "achieved_error": "{format_real(w.achieved_error)}",\n'
+                f'        "achieved_error": "{format_real(error)}",\n'
                 f'        "preimage_decimal": [\n'
-                f'          "{sep.join([format_real(x) for x in w.preimage])}"\n'
+                f'          "{sep.join(decimal)}"\n'
                 f'        ],\n'
                 f'        "preimage_exact": [\n'
-                f'          "{sep.join([exact_string(x) for x in w.preimage])}"\n'
+                f'          "{sep.join(exact)}"\n'
                 f'        ],\n'
                 f'        "target": [\n'
-                f'          "{sep.join([grid_text.get(y) or format_real(y) for y in w.target])}"\n'
+                f'          "{sep.join([grid_text.get(y) or format_real(y) for y in target])}"\n'
                 f'        ]\n'
                 f'      }}'
             )
             lead = ",\n"
-            yield w
+            yield target, point, error
 
     spool = open(part, "w+", encoding="utf-8")
     os.remove(part)  # the open handle keeps the data

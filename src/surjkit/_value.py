@@ -6,12 +6,12 @@ keeps them in ``__slots__``. The shared constructor binds positionals in
 ``set_field``; too many positionals, an unknown keyword, a field given
 twice or a missing one raise ``TypeError``. A class writes its own
 ``__init__``, storing with ``set_field`` too, only to validate or convert
-its arguments, or when it is built per target (``Witness``,
-``ScalarSpan``) and the generic binding would cost too much. A value
-derived from the fields lives in a slot outside ``_fields``. The instance
-then refuses assignment and deletion. Two instances are equal exactly when
-they are of the same class and their ``_fields`` are equal; the hash
-follows the same fields, and the repr reads ``Name(field=value, ...)``.
+its arguments, or when it is built per target (``ScalarSpan``; ``Witness``
+by the API, not by the CLI) and the generic binding would cost too much.
+A value derived from the fields lives in a slot outside ``_fields``. The
+instance then refuses assignment and deletion. Two instances are equal
+exactly when they are of the same class and their ``_fields`` are equal;
+the hash follows the same fields, and the repr reads ``Name(field=value, ...)``.
 """
 
 from __future__ import annotations

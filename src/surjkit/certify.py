@@ -4,9 +4,10 @@ A coverage certificate records, for every grid target of a compact box,
 a preimage witness and its residual under the limit map, evaluated exactly
 at the dyadic witness up to a sinh stage's float rounding; the certificate
 is sound exactly when every residual can be reproduced by forward
-evaluation alone. A span family's dimension is the rank of its support
-matrix, computed exactly from coefficients and exponents (support_rank):
-no sample points, no float threshold.
+evaluation alone. The search yields (target, point, residual) rows, which
+certify_surjective_on_box alone makes Witness records of Fractions. A span
+family's dimension is the rank of its support matrix, computed exactly from
+coefficients and exponents (support_rank): no sample points, no float threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .curve import _as_float
 from .errors import DomainError, ResourceError, StructuralError
 from .spans import VectorSpanMember
 from .surjections import (
-    FunctionExpr, _check_tolerance, _checked_preimage, _expect, _sinh_stage, _sup_error,
+    FunctionExpr, _check_tolerance, _checked_preimage, _expect, _fractions, _sinh_stage, _sup_error,
 )
 
 DEFAULT_TARGET_BUDGET = 100_000
@@ -125,15 +126,16 @@ def certify_surjective_on_box(
     residual is the one the single forward check of the preimage search
     measured. Per-target cap errors re-raise prefixed with the target.
     """
-    witnesses = tuple(_witnesses(f, box, eps, target_budget))
-    status, worst_target = _verdict(witnesses, eps)
+    rows = _witnesses(f, box, eps, target_budget)
+    witnesses = tuple(Witness(t, _fractions(point), e) for t, point, e in rows)
+    status, worst_target = _verdict(((w.target, None, w.achieved_error) for w in witnesses), eps)
     return CoverageCertificate(f.describe(), box, eps, witnesses, status, worst_target)
 
 
 def _witnesses(
     f: Certifiable, box: BoxSpec, eps: float, target_budget: int = DEFAULT_TARGET_BUDGET
-) -> Iterator[Witness]:
-    """The witness of each grid target, in targets() order, found as it is asked for.
+) -> Iterator[tuple]:
+    """The (target, point, residual) rows, in targets() order, found as they are asked for.
 
     The arguments are checked on the call, before any target is searched;
     the grid is walked, not listed, so memory stays flat at any grid size.
@@ -156,7 +158,7 @@ def _witnesses(
 
 def _search(
     f: Certifiable, member: Optional[VectorSpanMember], box: BoxSpec, eps: float
-) -> Iterator[Witness]:
+) -> Iterator[tuple]:
     for target in itertools.product(*box._axes()):
         try:
             if member is not None:
@@ -168,21 +170,17 @@ def _search(
                 point, achieved = _checked_preimage(f, target, eps)
         except ResourceError as err:
             raise ResourceError(f"target {target}: {err}") from err
-        yield Witness(target, point, achieved)
+        yield target, point, achieved
 
 
-def _verdict(witnesses: Iterable[Witness], eps: float) -> tuple[str, Optional[tuple[float, ...]]]:
-    """(status, worst target or None), folded over the witnesses as they come:
-    the first worst witness wins, and a nan residual ranks worst, as it
-    fails every comparison with eps. An empty stream certifies."""
-    worst = max(
-        witnesses,
-        key=lambda w: (w.achieved_error != w.achieved_error, w.achieved_error),
-        default=None,
-    )
-    if worst is None or worst.achieved_error <= eps:
+def _verdict(rows: Iterable[tuple], eps: float) -> tuple[str, Optional[tuple[float, ...]]]:
+    """(status, worst target or None), folded over the (target, point,
+    residual) rows as they come: the first worst row wins, and a nan residual
+    ranks worst, as it fails every comparison with eps. No row certifies."""
+    worst = max(rows, key=lambda row: (row[2] != row[2], row[2]), default=None)
+    if worst is None or worst[2] <= eps:
         return "certified", None
-    return "failed", worst.target
+    return "failed", worst[0]
 
 
 def support_rank(members: Sequence[VectorSpanMember]) -> tuple[int, int]:

@@ -143,13 +143,13 @@ def cmd_certify(args) -> int:
         raise StructuralError("spec has no 'certify' section")
     budget = DEFAULT_TARGET_BUDGET if args.budget is None else args.budget
     box, eps = spec.certify_box, spec.certify_epsilon
-    witnesses = _witnesses(spec.pipeline, box, eps, target_budget=budget)
+    rows = _witnesses(spec.pipeline, box, eps, target_budget=budget)
 
     members = spec.family_members
     independence = independence_json(members) if len(members) >= 2 else None
     settings = {"budget": budget}
     status, _ = _write_report(
-        args.report, spec.pipeline.describe(), box, eps, witnesses, independence, settings
+        args.report, spec.pipeline.describe(), box, eps, rows, independence, settings
     )
 
     ok = status == "certified" and (independence is None or independence["full_rank"])

@@ -126,12 +126,13 @@ class FunctionExpr(Value):
         return out, amplified
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        """A point whose image lies within 2**-bits of target: the sinh stage,
-        then each lift's pair from the outermost in, then the leaf."""
+        """The exact pair of a first input whose image lies within 2**-bits of target, then
+        int 0s: the sinh stage, then each lift's pair from the outermost in, then the leaf."""
         if self.member is not None:
             target, bounds = _sinh_stage(self.member, target, 2.0 ** -(bits + 1), "phi_compose")
             # the base within half the tolerance / lipschitz (and never coarser than 1)
             bits = max(0.0, bits + 1 + math.log2(max(bounds)))
+        target = tuple([_ratio(x) for x in target])
         done = 0  # the lifts whose pair is inverted
         try:
             while done < self.lifts:
@@ -183,11 +184,11 @@ def _line_eval(point: tuple, depth: Optional[int]) -> tuple[tuple, float]:
         if math.ldexp(est, depth) < 2 * n:
             est = math.nextafter(est, math.inf)
         return ((n * (2 * col + 1 - side), side), (n * (2 * row + 1 - side), side)), est
-    e = q.bit_length() - 1
-    if q != 1 << e:
+    if q & (q - 1):
         raise DomainError("the limit map is evaluated at dyadic parameters only")
+    e = q.bit_length() - 1
     d = (e + 1) >> 1
-    index = (u << 2 * d) // q  # exact: the parameter is index / 4^d
+    index = u << (2 * d - e)  # exact: the parameter is index / 4^d, and q = 2^e
     # the entry corner of cell index: 2 center(d + 1, 4 index) - center(d, index)
     col, row = _d2xy(d + 1, index << 2)
     x, y, side = col - (col >> 1), row - (row >> 1), 1 << d
@@ -204,10 +205,10 @@ def _line_modulus(t: float, delta: float, depth: int) -> float:
     return bridge + curve
 
 
-def _line_preimage(target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
-    """((t,), k): a parameter the line-to-plane map sends within 2**-bits of
-    the plane target, and the curve depth k it was found at."""
-    (pa, qa), (pb, qb) = _ratio(target[0]), _ratio(target[1])
+def _line_preimage(target: tuple, bits: float) -> tuple[tuple[tuple[int, int]], int]:
+    """(((p, q),), k): a parameter p/q in lowest terms that the line-to-plane map
+    sends within 2**-bits of the plane target of exact pairs, at curve depth k."""
+    (pa, qa), (pb, qb) = target
     # the smallest box B_n holding the target, n >= 1
     n = max(-(-abs(pa) // qa), -(-abs(pb) // qb), 1)
     # half a cell of B_n at depth k stays within 2**-bits / 2
@@ -221,12 +222,14 @@ def _line_preimage(target: tuple, bits: float) -> tuple[tuple[Fraction], int]:
     # the depth-k cell of the target's position (p + n q) / (2 n q) in the
     # unit square
     col, row = _cell(pa + n * qa, 2 * n * qa, pb + n * qb, 2 * n * qb, k)
-    # t = (2n - 1)/2 + index / (2 * 4^k)
-    return (Fraction(((2 * n - 1) << 2 * k) + _xy2d(k, col, row), 2 << 2 * k),), k
+    # t = (2n - 1)/2 + index / (2 * 4^k), reduced by the numerator's trailing zero bits
+    num = ((2 * n - 1) << 2 * k) + _xy2d(k, col, row)
+    zeros = (num & -num).bit_length() - 1
+    return ((num >> zeros, (2 << 2 * k) >> zeros),), k
 
 
-# Equal keys are equal exact values (-0.0 == 0.0, 0.5 == Fraction(1, 2)), so
-# a cached result equals what a fresh call computes.
+# Equal keys are equal exact values (-0.0 == 0.0), so a cached result equals
+# what a fresh call computes.
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
     """The sinh stage for one coordinate: a root u of span = y within tol, and
@@ -256,7 +259,7 @@ def _sinh_stage(
     return roots, bounds
 
 
-# a lift's trailing line-to-plane inversion: ((s,), its curve depth)
+# a lift's trailing line-to-plane inversion, keyed on exact pairs: -0.0 and 0.0 are (0, 1)
 _invert_pair = functools.lru_cache(maxsize=_MEMO_SIZE)(_line_preimage)
 
 
@@ -321,8 +324,11 @@ def evaluate_at(expr: FunctionExpr, point: Sequence[Real], depth: int = DEFAULT_
     point = _sequence(point, "point")
     if len(point) != expr.domain_arity:
         raise StructuralError(f"point arity {len(point)} != domain arity {expr.domain_arity}")
-    value, est = expr._eval(tuple(map(_ratio, point)), depth)
-    return EvalResult(tuple(p / q for p, q in value), est)
+    try:
+        value, est = expr._eval(tuple(map(_ratio, point)), depth)
+        return EvalResult(tuple(p / q for p, q in value), est)
+    except OverflowError:  # an exact parameter whose box B_n is past the floats
+        raise DomainError(f"parameter {point[0]} is too far out on the line") from None
 
 
 def evaluate_to_precision(
@@ -358,10 +364,13 @@ def _checked_preimage(
     at eps/2, then one forward check that evaluates the limit map exactly
     at the dyadic witness (up to the float rounding of a sinh stage)."""
     witness = expr._preimage(target, 1.0 - math.log2(eps))
-    # from a list, not a map: tuple() sizes a map's result at 10 and shrinks
-    # it, which moves a block per target from one tuple free list to another
-    value, _ = expr._eval(tuple([_ratio(x) for x in witness]), None)
+    value, _ = expr._eval(witness, None)
     return witness, _sup_error([abs(p / q - y) for (p, q), y in zip(value, target)])
+
+
+def _fractions(point: tuple) -> tuple:
+    """point with each exact (p, q) pair as a Fraction; ints and floats as they are."""
+    return tuple([Fraction(*x) if type(x) is tuple else x for x in point])
 
 
 def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
@@ -383,7 +392,7 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
         )
     witness, res = _checked_preimage(expr, target, eps)
     if res <= eps:
-        return witness
+        return _fractions(witness)
     raise RefinementError(f"residual {res:.3g} > eps {eps:.3g} at the forward check")
 
 

@@ -31,6 +31,7 @@ from surjkit import (
     support_rank,
 )
 from surjkit._formats import _write_report
+from surjkit.curve import _ratio
 from surjkit.surjections import _sup_error
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
@@ -53,7 +54,14 @@ def clear_inversion_memos():
 
 
 def report_text(cert, path):
-    _write_report(str(path), cert.function_id, cert.box, cert.epsilon, cert.witnesses, None, {})
+    # the writer reads certify's (target, point, residual) rows, whose point
+    # holds each Fraction as its exact (p, q) pair, as the inversion hands out
+    rows = (
+        (w.target, tuple([_ratio(x) if type(x) is Fraction else x for x in w.preimage]),
+         w.achieved_error)
+        for w in cert.witnesses
+    )
+    _write_report(str(path), cert.function_id, cert.box, cert.epsilon, rows, None, {})
     return path.read_text(encoding="utf-8")
 
 
@@ -312,7 +320,7 @@ class IdentityWithNan(FunctionExpr):
     __slots__ = ()
 
     def _preimage(self, target, bits):
-        return target
+        return tuple(map(_ratio, target))  # exact pairs, as the curve stages hand out
 
     def _eval(self, point, depth):
         (p, q), second = point

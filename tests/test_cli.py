@@ -27,6 +27,7 @@ from surjkit import (
     ResourceError,
     VectorSpanMember,
     Witness,
+    certify_surjective_on_box,
     combine_members,
     compose_with_base,
     curve_trace,
@@ -37,6 +38,7 @@ from surjkit import (
 )
 from surjkit._formats import _write_report, format_real
 from surjkit._hilbert import _TRACE_BLOCK
+from surjkit.curve import _ratio
 from surjkit.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
@@ -618,6 +620,27 @@ class TestCertify:
         exact = data["certificate"]["witnesses"][0]["preimage_exact"]
         assert any("/" in coordinate for coordinate in exact)
 
+    @pytest.mark.parametrize(
+        "data,grid", [(README_SPEC, 3), (BARE_CURVE_SPEC, 9)], ids=["readme-3", "bare-plane-9"]
+    )
+    def test_the_api_and_the_report_agree_on_every_witness(self, tmp_path, data, grid):
+        # certify_surjective_on_box builds Fractions; the report writer formats int pairs.
+        # A witness parameter lies in [n - 1/2, n), so no Fraction is an integer and
+        # str writes it p/q; the projected inputs are int 0s.
+        data = copy.deepcopy(data)
+        data["certify"]["grid"] = grid
+        spec_path = write_spec(tmp_path, data)
+        spec = parse_spec_file(spec_path)
+        cert = certify_surjective_on_box(spec.pipeline, spec.certify_box, spec.certify_epsilon)
+        report = tmp_path / "r.json"
+        assert main(["certify", "--spec", spec_path, "--report", str(report)]) == EXIT_OK
+        rows = json.loads(report.read_text())["certificate"]["witnesses"]
+        assert len(rows) == len(cert.witnesses) == spec.certify_box.target_count
+        for w, row in zip(cert.witnesses, rows):
+            assert type(w.preimage[0]) is Fraction
+            assert [str(x) for x in w.preimage] == row["preimage_exact"]
+            assert [format_real(x) for x in w.preimage] == row["preimage_decimal"]
+
 
 def json_dump_form(text):
     """text as json.dump(..., indent=2, sort_keys=True) writes the data it holds.
@@ -630,8 +653,15 @@ def json_dump_form(text):
 def write_certificate(path, cert, independence=None, settings=None):
     """_write_report on a certificate's fields; the writer's (status, worst target)."""
     settings = settings or {"budget": 7}
+    # the writer reads certify's (target, point, residual) rows, whose point
+    # holds each Fraction as its exact (p, q) pair, as the inversion hands out
+    rows = (
+        (w.target, tuple([_ratio(x) if type(x) is Fraction else x for x in w.preimage]),
+         w.achieved_error)
+        for w in cert.witnesses
+    )
     return _write_report(
-        str(path), cert.function_id, cert.box, cert.epsilon, cert.witnesses, independence, settings
+        str(path), cert.function_id, cert.box, cert.epsilon, rows, independence, settings
     )
 
 
@@ -695,7 +725,8 @@ class TestReportFormat:
         box = BoxSpec(((-1.0, 1.0), (-2.5, 2.5)), 3)
         targets = box.targets()[: len(errors)]
         witnesses = [Witness(t, (Fraction(1, 3),), e) for t, e in zip(targets, errors)]
-        monkeypatch.setattr(surjkit.certify, "_witnesses", lambda *args: iter(witnesses))
+        rows = [(t, ((1, 3),), e) for t, e in zip(targets, errors)]
+        monkeypatch.setattr(surjkit.certify, "_witnesses", lambda *args: iter(rows))
         cert = surjkit.certify.certify_surjective_on_box(extend_to_line(), box, 1e-3)
         assert cert.witnesses == tuple(witnesses)
         assert cert.status == ("certified" if worst is None else "failed")

@@ -286,6 +286,27 @@ class TestEvaluate:
         assert est > 0.0
         assert Fraction(est) >= Fraction(4, 2**depth)
 
+    @pytest.mark.parametrize(
+        "lifts,quarter", [(0, 3), (2, 3), (0, 1)], ids=["curve", "curve-lifted", "bridge"]
+    )
+    def test_a_parameter_past_the_float_range_is_a_domain_error(self, lifts, quarter):
+        # t = 10^400 + quarter/4: the curve's estimate 2n, or the bridge's values, pass the floats
+        g = extend_to_line()
+        for _ in range(lifts):
+            g = lift_dimension(g)
+        t = Fraction(4 * 10**400 + quarter, 4)
+        with pytest.raises(DomainError, match=r"^parameter 4000.*/4 is too far out on the line$"):
+            evaluate_at(g, (t,), 12)
+        # every float is in range: past 2^52 each is an integer, on a bridge
+        assert evaluate_at(g, (1e308,), 12).value[0] == 1e308
+
+    def test_a_far_parameter_whose_values_are_floats_evaluates(self):
+        # halfway along the bridge from (i, -i) to (-i - 1, -i - 1) with i = 10^400, x is
+        # -1/2, and the lift sends y < 0 to (0, 0): every value is a float
+        t = Fraction(4 * 10**400 + 1, 4)
+        result = evaluate_at(lift_dimension(extend_to_line()), (t,), 12)
+        assert result.value == (-0.5, 0.0, 0.0) and result.error_estimate == 0.0
+
     def test_a_precision_no_depth_reaches_is_refused(self):
         g = extend_to_line()
         for _ in range(4):
@@ -550,9 +571,9 @@ def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
 )
 def test_integer_preimage_matches_fraction_decode(target, tol):
     bits = -math.log2(tol)
-    witness = LINE._preimage(target, bits)
-    assert witness == fraction_peano_preimage(target, bits)
-    assert type(witness[0]) is Fraction
+    (pair,) = LINE._preimage(target, bits)
+    assert (Fraction(*pair),) == fraction_peano_preimage(target, bits)
+    assert Fraction(*pair).as_integer_ratio() == pair  # exact ints in lowest terms
 
 
 def decode_route_preimage(target, bits):
@@ -587,9 +608,38 @@ def inversion_targets(draw):
 
 @given(target=inversion_targets(), bits=st.floats(min_value=0.0, max_value=80.0))
 def test_integer_inversion_matches_the_decode_route(target, bits):
-    (t,), k = _line_preimage(target, bits)
-    assert ((t,), k) == decode_route_preimage(target, bits)
-    assert type(t) is Fraction
+    (t,), k = _line_preimage(tuple(map(_ratio, target)), bits)
+    assert ((Fraction(*t),), k) == decode_route_preimage(target, bits)
+    assert Fraction(*t).as_integer_ratio() == t  # exact ints in lowest terms
+
+
+def test_inversion_pairs_are_the_fraction_values():
+    rng = random.Random(33)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        cases.append(((rng.uniform(-n, n), rng.uniform(-n, n)), rng.uniform(0.0, 60.0)))
+    # log2(4n) + bits = 4096 in B_1 and B_2: the depth cap itself
+    cases += [((rng.uniform(-1, 1), rng.uniform(-1, 1)), 4094.0) for _ in range(2)]
+    cases += [((1.5, rng.uniform(-2, 2)), 4093.0)]
+    # the entry corner (-n, -n) of B_n is cell 0: numerator (2n - 1) * 4^k, so t = (2n - 1)/2
+    corners = {((-float(n), -float(n)), bits): n for n in (1, 2, 5) for bits in (0.0, 7.5, 200.0)}
+    for target, bits in cases + list(corners):
+        (pair,), k = _line_preimage(tuple(map(_ratio, target)), bits)
+        p, q = pair
+        assert type(p) is int and type(q) is int
+        assert q > 1 and q & (q - 1) == 0 and p & 1  # a power of two, in lowest terms
+        assert (Fraction(p, q),) == fraction_peano_preimage(target, bits)
+        assert k <= 4096 and (k == 4096 or bits < 4093.0)
+        if (target, bits) in corners:
+            assert pair == (2 * corners[target, bits] - 1, 2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_preimage_returns_a_fraction_then_int_zeros(m):
+    witness = preimage(project_lift(lift_dimension(LINE), m), (1.3, -0.2, 4.1), 1e-6)
+    assert len(witness) == m and type(witness[0]) is Fraction
+    assert all(type(x) is int and x == 0 for x in witness[1:])
 
 
 @pytest.mark.parametrize("depth", [64, 128])
