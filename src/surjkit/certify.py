@@ -5,7 +5,10 @@ a preimage witness and its residual under the limit map, evaluated exactly
 at the dyadic witness up to a sinh stage's float rounding; the certificate
 is sound exactly when every residual can be reproduced by forward
 evaluation alone. The search yields (target, point, residual) rows, which
-certify_surjective_on_box alone makes Witness records of Fractions. A span
+certify_surjective_on_box alone makes Witness records of Fractions. A target
+is a product of axis values, and the search keeps one cache over the grid:
+each value of each axis is made an exact pair, or solved through the sinh
+stage, once, when the product order first reaches it. A span
 family's dimension is the rank of its support matrix, computed exactly from
 coefficients and exponents (support_rank): no sample points, no float threshold.
 """
@@ -21,7 +24,7 @@ from .curve import _as_float
 from .errors import DomainError, ResourceError, StructuralError
 from .spans import VectorSpanMember
 from .surjections import (
-    FunctionExpr, _check_tolerance, _checked_preimage, _expect, _fractions, _sinh_stage, _sup_error,
+    FunctionExpr, _check_tolerance, _expect, _fractions, _refuse_degenerate, _target_row,
 )
 
 DEFAULT_TARGET_BUDGET = 100_000
@@ -119,7 +122,7 @@ def certify_surjective_on_box(
     """Search a preimage for every grid target; certified iff all residuals <= eps.
 
     Degenerate span members, bare or after a base, are rejected with
-    DegenerateMemberError by their first inversion, after the box-arity
+    DegenerateMemberError before the first target, after the box-arity
     check, not failed (they are not surjective, so a failed certificate
     would be misleading). Witnesses are stored even on failure so that
     each can be re-checked by forward evaluation alone. Each witness's
@@ -149,8 +152,8 @@ def _witnesses(
             f"{box.target_count} targets exceed budget {target_budget}; "
             f"raise target_budget to override"
         )
-    member = f if isinstance(f, VectorSpanMember) else None
-    codomain = f.arity if member is not None else f.codomain_arity
+    member = f if isinstance(f, VectorSpanMember) else f.member
+    codomain = f.arity if member is f else f.codomain_arity
     if box.arity != codomain:
         raise StructuralError(f"box arity {box.arity} != codomain arity {codomain}")
     return _search(f, member, box, eps)
@@ -159,15 +162,11 @@ def _witnesses(
 def _search(
     f: Certifiable, member: Optional[VectorSpanMember], box: BoxSpec, eps: float
 ) -> Iterator[tuple]:
+    _refuse_degenerate(member)
+    cache: dict = {}  # one entry per (coordinate, axis value), and per (span, axis value)
     for target in itertools.product(*box._axes()):
         try:
-            if member is not None:
-                point, _ = _sinh_stage(member, target, eps / 2.0, "member")
-                achieved = _sup_error(
-                    [abs(v - y) for v, y in zip(member.value_at(point), target)]
-                )
-            else:
-                point, achieved = _checked_preimage(f, target, eps)
+            point, achieved = _target_row(f, target, eps, cache)
         except ResourceError as err:
             raise ResourceError(f"target {target}: {err}") from err
         yield target, point, achieved

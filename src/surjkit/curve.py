@@ -18,11 +18,15 @@ from .errors import DomainError
 
 
 def _as_float(x) -> float:
-    """float(x) for a real number x; text is refused, not parsed."""
+    """float(x) for a real number x; text is refused, not parsed, and an
+    exact value past the float range is a DomainError that names it."""
     # Decimal and numpy scalars convert; float() would also parse text
     if not (hasattr(type(x), "__float__") or hasattr(type(x), "__index__")):
         raise DomainError(f"{x!r} is not a real number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int or a Fraction past the largest float
+        raise DomainError(f"{x} is past the float range") from None
 
 
 def _ratio(x) -> tuple[int, int]:

@@ -44,16 +44,6 @@ class ScalarSpan(Value):
     def __init__(self, terms: tuple[tuple[float, float], ...]):
         set_field(self, "terms", terms)
 
-    # written out: the sinh-stage memo hashes the span on every lookup, and
-    # compares it whenever equal spans of different coordinates share a key
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Union
 
 from ._hilbert import EVAL_DEPTH_CAP, _cell, _check_depth, _d2xy, _xy2d
 from ._value import Value
-from .curve import _ratio
+from .curve import _as_float, _ratio
 from .errors import (
     DegenerateMemberError,
     DomainError,
@@ -42,11 +42,11 @@ from .errors import (
     ResourceError,
     StructuralError,
 )
-from .spans import ARITY_CAP, ScalarSpan, VectorSpanMember, detect_degenerate, scalar_solve
+from .spans import ARITY_CAP, VectorSpanMember, detect_degenerate, scalar_solve
 
 DEFAULT_EVAL_DEPTH = 12
-# entries per inversion memo: a product grid repeats each axis value, and
-# the sinh stage and a lift's pair read one or two coordinates of a target
+# entries of the pair-inversion memo: the outermost lift's pair reads the
+# last two target coordinates, whose values a product grid repeats
 _MEMO_SIZE = 4096
 
 Real = Union[int, float, Fraction]
@@ -126,13 +126,9 @@ class FunctionExpr(Value):
         return out, amplified
 
     def _preimage(self, target: tuple, bits: float) -> tuple:
-        """The exact pair of a first input whose image lies within 2**-bits of target, then
-        int 0s: the sinh stage, then each lift's pair from the outermost in, then the leaf."""
-        if self.member is not None:
-            target, bounds = _sinh_stage(self.member, target, 2.0 ** -(bits + 1), "phi_compose")
-            # the base within half the tolerance / lipschitz (and never coarser than 1)
-            bits = max(0.0, bits + 1 + math.log2(max(bounds)))
-        target = tuple([_ratio(x) for x in target])
+        """The exact pair of a first input whose image under the map below the member
+        lies within 2**-bits of target, exact pairs, then int 0s: each lift's pair
+        from the outermost in, then the leaf."""
         done = 0  # the lifts whose pair is inverted
         try:
             while done < self.lifts:
@@ -226,37 +222,6 @@ def _line_preimage(target: tuple, bits: float) -> tuple[tuple[tuple[int, int]], 
     num = ((2 * n - 1) << 2 * k) + _xy2d(k, col, row)
     zeros = (num & -num).bit_length() - 1
     return ((num >> zeros, (2 << 2 * k) >> zeros),), k
-
-
-# Equal keys are equal exact values (-0.0 == 0.0), so a cached result equals
-# what a fresh call computes.
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _solve_coordinate(span: ScalarSpan, y: float, tol: float) -> tuple[float, float]:
-    """The sinh stage for one coordinate: a root u of span = y within tol, and
-    the bound on the span's slope over [u - 1, u + 1]."""
-    if not tol > 0:
-        raise ResourceError(f"solve tolerance underflows to {tol}")
-    u = scalar_solve(span, y, tol)
-    return u, span.derivative_bound(u - 1.0, u + 1.0)
-
-
-def _sinh_stage(
-    member: VectorSpanMember, target: tuple, tol: float, node: str
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The roots of member = target within tol, coordinate by coordinate, and
-    each span's slope bound near its root; a zero coordinate span raises
-    DegenerateMemberError, and a failed solve names the coordinate of node."""
-    bad = detect_degenerate(member)
-    if bad is not None:
-        raise DegenerateMemberError(bad)
-    solved = []
-    for j, (span, y) in enumerate(zip(member.spans, target)):
-        try:
-            solved.append(_solve_coordinate(span, float(y), tol))
-        except ResourceError as err:
-            raise ResourceError(f"{err} in the sinh stage of {node} coordinate {j + 1}") from err
-    roots, bounds = zip(*solved)
-    return roots, bounds
 
 
 # a lift's trailing line-to-plane inversion, keyed on exact pairs: -0.0 and 0.0 are (0, 1)
@@ -357,14 +322,63 @@ def _sup_error(errors: list[float]) -> float:
     return worst
 
 
-def _checked_preimage(
-    expr: FunctionExpr, target: tuple[float, ...], eps: float
+def _refuse_degenerate(member: Optional[VectorSpanMember]) -> None:
+    """DegenerateMemberError if member has a zero coordinate span; None is a bare base."""
+    if member is not None and (bad := detect_degenerate(member)) is not None:
+        raise DegenerateMemberError(bad)
+
+
+def _axis_entry(
+    f: FunctionExpr | VectorSpanMember, j: int, y: float, eps: float, cache: dict
+) -> tuple:
+    """Fill cache[j, y], the part of a target row that reads only y in coordinate j:
+    the exact pair of y under a bare base; else one solve of coordinate j's span = y,
+    shared through cache[span, y] by equal spans, kept as the root's exact pair and
+    the slope bound over [u - 1, u + 1] (a tree) or as u and |span(u) - y| (a member)."""
+    bare = isinstance(f, VectorSpanMember)
+    member = f if bare else f.member
+    span = None if member is None else member.spans[j]
+    entry = _ratio(y) if span is None else cache.get((span, y))
+    if entry is None:
+        # a tree's chain gets bits = 1 - log2(eps) and its sinh stage 2**-(bits + 1)
+        tol = eps / 2.0 if bare else 2.0 ** -(1.0 - math.log2(eps) + 1)
+        try:
+            if not tol > 0:
+                raise ResourceError(f"solve tolerance underflows to {tol}")
+            u = scalar_solve(span, y, tol)
+        except ResourceError as err:
+            node = "member" if bare else "phi_compose"
+            raise ResourceError(f"{err} in the sinh stage of {node} coordinate {j + 1}") from err
+        if bare:
+            entry = u, abs(span.value(u) - y)
+        else:
+            entry = _ratio(u), span.derivative_bound(u - 1.0, u + 1.0)
+        cache[span, y] = entry
+    cache[j, y] = entry
+    return entry
+
+
+def _target_row(
+    f: FunctionExpr | VectorSpanMember, target: tuple, eps: float, cache: dict
 ) -> tuple[tuple, float]:
-    """(witness, its forward residual): one inversion of the analytic chain
-    at eps/2, then one forward check that evaluates the limit map exactly
-    at the dyadic witness (up to the float rounding of a sinh stage)."""
-    witness = expr._preimage(target, 1.0 - math.log2(eps))
-    value, _ = expr._eval(witness, None)
+    """(point, residual) of one float target: a bare member's roots, or a tree's
+    witness from one inversion of its curve chain at eps/2 and one forward check at
+    the limit map, exact at the dyadic witness up to a sinh stage's float rounding.
+    A caller that keeps the cache over a grid converts and solves each axis value once."""
+    # a hit is a non-empty tuple; a miss is filled in coordinate order
+    entries = [cache.get((j, y)) or _axis_entry(f, j, y, eps, cache) for j, y in enumerate(target)]
+    if isinstance(f, VectorSpanMember):
+        roots, residuals = zip(*entries)
+        return roots, _sup_error(residuals)
+    bits = 1.0 - math.log2(eps)
+    if f.member is None:
+        pairs = tuple(entries)
+    else:
+        pairs, bounds = zip(*entries)
+        # the base within half the tolerance / lipschitz (and never coarser than 1)
+        bits = max(0.0, bits + 1 + math.log2(max(bounds)))
+    witness = f._preimage(pairs, bits)
+    value, _ = f._eval(witness, None)
     return witness, _sup_error([abs(p / q - y) for (p, q), y in zip(value, target)])
 
 
@@ -385,12 +399,14 @@ def preimage(expr: FunctionExpr, target: Sequence[Real], eps: float) -> tuple:
     """
     _expect(expr, FunctionExpr, "invert")
     _check_tolerance(eps)
-    target = tuple(p / q for p, q in map(_ratio, _sequence(target, "target")))
+    # _as_float refuses text and a value past the floats, _ratio an inf or a nan
+    target = tuple(p / q for p, q in map(_ratio, map(_as_float, _sequence(target, "target"))))
     if len(target) != expr.codomain_arity:
         raise StructuralError(
             f"target arity {len(target)} != codomain arity {expr.codomain_arity}"
         )
-    witness, res = _checked_preimage(expr, target, eps)
+    _refuse_degenerate(expr.member)
+    witness, res = _target_row(expr, target, eps, {})
     if res <= eps:
         return _fractions(witness)
     raise RefinementError(f"residual {res:.3g} > eps {eps:.3g} at the forward check")

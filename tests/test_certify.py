@@ -28,11 +28,13 @@ from surjkit import (
     make_scalar_span,
     preimage,
     project_lift,
+    scalar_solve,
     support_rank,
 )
 from surjkit._formats import _write_report
 from surjkit.curve import _ratio
-from surjkit.surjections import _sup_error
+from surjkit.certify import _witnesses
+from surjkit.surjections import _sup_error, _target_row
 from oracles import bisect_solve, phi_highprec, rank_highprec
 
 DEGENERATE_MEMBER = VectorSpanMember(((1.0, (1.0, 2.0)), (-1.0, (1.0, 3.0))), 2)
@@ -49,7 +51,6 @@ def readme_pipeline():
 
 
 def clear_inversion_memos():
-    surjkit.surjections._solve_coordinate.cache_clear()
     surjkit.surjections._invert_pair.cache_clear()
 
 
@@ -190,6 +191,67 @@ class TestCoverage:
         assert cert.certified
         assert len(calls) == 9 == len(set(calls))
 
+    def test_readme_grid_solves_each_axis_value_once(self, monkeypatch):
+        # 11 axis values, and one span in all three coordinates: 11 solves
+        calls = []
+        solve = surjkit.surjections.scalar_solve
+
+        def counting_solve(span, y, tol):
+            calls.append(y)
+            return solve(span, y, tol)
+
+        monkeypatch.setattr(surjkit.surjections, "scalar_solve", counting_solve)
+        box = BoxSpec(((-10, 10),) * 3, 11)
+        assert certify_surjective_on_box(readme_pipeline(), box, 1e-3).certified
+        assert len(calls) == 11
+
+    def test_grid_rows_equal_one_target_rows(self):
+        # the grid keeps one cache, keyed on (coordinate, axis value) and, to
+        # share a solve between equal spans, on (span, axis value): every row
+        # must be what one target finds alone. The repr tells -0.0 from 0.0,
+        # which meet in one key where a -0.0 bound and a 0.0 grid value do.
+        lifts2 = compose_with_base(
+            combine_members([1, -1], make_diagonal_family([1.0, 2.0], 4)),
+            lift_dimension(lift_dimension(extend_to_line())),
+        )
+        terms = compose_with_base(
+            VectorSpanMember([(1, (1, 2)), (-0.5, (2, 1))], 2), project_lift(extend_to_line(), 2)
+        )
+        bare = VectorSpanMember(((1.0, (1.0, 2.0, 3.0)),), 3)
+        signed = BoxSpec(((-0.0, 2.0), (-2.0, 2.0), (-1.0, 1.0)), 3)
+        cases = [
+            (readme_pipeline(), BoxSpec(((-10, 10),) * 3, 3), 1e-3),
+            (readme_pipeline(), BoxSpec(((-10, 10),) * 3, 5), 1e-3),
+            (readme_pipeline(), signed, 1e-3),
+            (lifts2, BoxSpec(((-3, 3),) * 4, 3), 1e-3),
+            (terms, BoxSpec(((-5, 5),) * 2, 5), 1e-6),
+            (bare, BoxSpec(((-4, 4),) * 3, 3), 1e-6),
+            (bare, signed, 1e-6),
+            (extend_to_line(), BoxSpec(((-0.0, 3.0), (-3.0, 3.0)), 3), 1e-9),
+        ]
+        for f, box, eps in cases:
+            rows = list(_witnesses(f, box, eps))
+            assert len(rows) == box.target_count
+            for target, point, residual in rows:
+                if isinstance(f, VectorSpanMember):
+                    roots = tuple([scalar_solve(s, y, eps / 2.0) for s, y in zip(f.spans, target)])
+                    errors = [abs(s.value(u) - y) for s, u, y in zip(f.spans, roots, target)]
+                    assert repr((point, residual)) == repr((roots, _sup_error(errors)))
+                else:
+                    alone = preimage(f, target, eps)
+                    assert repr(point) == repr(
+                        tuple([_ratio(x) if type(x) is Fraction else x for x in alone])
+                    )
+                    assert repr((point, residual)) == repr(_target_row(f, target, eps, {}))
+
+    def test_exact_values_past_the_floats_are_domain_errors(self):
+        for big in (10**400, Fraction(10**400, 3)):
+            message = f"^{big} is past the float range$"
+            with pytest.raises(DomainError, match=message):
+                preimage(extend_to_line(), (big, 0), 1e-3)
+            with pytest.raises(DomainError, match=message):
+                BoxSpec([(0, big), (0, 1)], 2)
+
     def test_bare_member_warm_certificate_equals_cold(self):
         member = combine_members([1, -1], make_diagonal_family([1.0, 2.0], 2))
         box = BoxSpec(((-5, 5), (-3, 7)), 5)
@@ -320,7 +382,7 @@ class IdentityWithNan(FunctionExpr):
     __slots__ = ()
 
     def _preimage(self, target, bits):
-        return tuple(map(_ratio, target))  # exact pairs, as the curve stages hand out
+        return target  # the target's exact pairs, as the curve stages hand out
 
     def _eval(self, point, depth):
         (p, q), second = point

@@ -427,10 +427,10 @@ class TestCertify:
             spec, code = DEGENERATE_SPEC, EXIT_DEGENERATE
         else:
             spec, code = BARE_CURVE_SPEC, EXIT_RESOURCE
-            found = surjkit.certify._checked_preimage
+            found = surjkit.certify._target_row
             calls = []
 
-            def fail_third(expr, target, eps):
+            def fail_third(expr, target, eps, cache):
                 calls.append(target)
                 if len(calls) == 3:
                     # two witnesses have been spooled, to a spool that has no
@@ -438,9 +438,9 @@ class TestCertify:
                     assert not spool.exists()
                     assert report.exists() == (earlier is not None)
                     raise ResourceError("injected")
-                return found(expr, target, eps)
+                return found(expr, target, eps, cache)
 
-            monkeypatch.setattr(surjkit.certify, "_checked_preimage", fail_third)
+            monkeypatch.setattr(surjkit.certify, "_target_row", fail_third)
         argv = ["certify", "--spec", write_spec(tmp_path, spec), "--report", str(report)]
         assert main(argv) == code
         assert not spool.exists()
@@ -527,6 +527,18 @@ class TestCertify:
         peak(60)
         small, large = peak(20), peak(60)
         assert abs(large - small) < 64 * 2**10
+
+    def test_first_failing_target_and_coordinate_are_named(self, tmp_path, capsys):
+        # axis values are solved in product order, coordinates 1 to 3: at eps
+        # 1e-16 the first two targets pass, and the third stalls in coordinate 3
+        data = {**README_SPEC, "certify": {**README_SPEC["certify"], "epsilon": "1e-16"}}
+        report = tmp_path / "r.json"
+        argv = ["certify", "--spec", write_spec(tmp_path, data), "--report", str(report)]
+        assert main(argv) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("resource failure: target (-10.0, -10.0, -6.0): ")
+        assert err.endswith(" in the sinh stage of phi_compose coordinate 3\n")
+        assert not report.exists()
 
     def test_resource_failure_exits_3_naming_the_target(self, tmp_path, capsys):
         cases = [

@@ -571,7 +571,7 @@ def test_integer_curve_stage_is_bit_identical_to_fractions(t, depth):
 )
 def test_integer_preimage_matches_fraction_decode(target, tol):
     bits = -math.log2(tol)
-    (pair,) = LINE._preimage(target, bits)
+    (pair,) = LINE._preimage(tuple(map(_ratio, target)), bits)  # it reads exact pairs
     assert (Fraction(*pair),) == fraction_peano_preimage(target, bits)
     assert Fraction(*pair).as_integer_ratio() == pair  # exact ints in lowest terms
 
